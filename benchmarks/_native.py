@@ -3,11 +3,11 @@
 The acceptance target (ROADMAP / ISSUE 10) is ">= 10x over the numpy
 driver", measured *at the driver level*: :func:`repro.engine.native.
 collect_kernel` against :func:`repro.engine.driver.collect_numpy` plus
-the ``tolist`` materialization every consumer of the numpy driver pays
-before payload mapping.  Everything above the drivers (payload
-mapping, ``SampleSet`` assembly) is byte-identical work on both sides,
-so the driver-level ratio is the honest isolation of what the kernel
-buys.
+``tolist``, so both sides return the Python lists of the kernel's
+``(indices, bits)`` contract.  Everything above the drivers (payload
+mapping, ``SampleSet`` assembly) is the same work on both sides, so
+the driver-level ratio isolates what the kernel buys; the end-to-end
+``run_row`` rate is recorded separately by the Table 3 bench.
 
 The gate is the **geometric mean across a bench's rows**, not a
 per-row floor: the tiny n=6 die is dominated by per-call fixed costs

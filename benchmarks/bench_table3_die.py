@@ -131,7 +131,9 @@ def test_table3_native_speedup(benchmark):
     (see :mod:`benchmarks._native` for why driver level and why the
     geometric mean).  Per-row numbers and the gmean merge into
     ``BENCH_engine.json`` (``tools/check_native_speedup.py`` gates on
-    it) and the native rows join ``BENCH_table3.json``.
+    it) and the native rows join ``BENCH_table3.json``.  Beside them,
+    ``end_to_end`` records what a caller gets: ``run_row`` samples/s
+    on the ``native`` profile at n=2e5 (recorded, not gated).
     """
     from repro.engine.native import native_available
     from repro.engine.pool import HAVE_NUMPY
@@ -152,6 +154,7 @@ def test_table3_native_speedup(benchmark):
             "native_table3": {
                 "rows": rows,
                 "geomean_speedup": round(geomean, 2),
+                "end_to_end": _native_run_row_rate(),
             }
         },
     )
@@ -164,6 +167,37 @@ def test_table3_native_speedup(benchmark):
         "native geomean speedup %.1fx below the 10x bar (rows: %s)"
         % (geomean, [(r["param"], r["speedup"]) for r in rows])
     )
+
+
+#: Samples per end-to-end ``run_row`` call: enough that per-sample cost,
+#: not per-call overhead, sets the rate.
+END_TO_END_SAMPLES = 200_000
+
+
+def _native_run_row_rate(reps: int = 5) -> dict:
+    """End-to-end ``run_row`` samples/s for die n=6 on the ``native``
+    profile (program to :class:`Row`: driver, kernel, ``SampleSet``
+    assembly and row statistics), median of ``reps`` warm calls.
+    Recorded next to the driver-level rows; not gated."""
+    program = n_sided_die(6)
+    profile = profile_named("native")
+    pmf = uniform_pmf(6, start=1)
+
+    def call(seed):
+        return run_row(program, "x", "n=6", true_pmf=pmf,
+                       n=END_TO_END_SAMPLES, seed=seed, profile=profile)
+
+    call(0)  # compile and load the kernel
+    times = sorted(timed_run(call, seed)[1] for seed in range(1, reps + 1))
+    median = times[len(times) // 2]
+    return {
+        "param": "n=6",
+        "profile": profile.name,
+        "samples": END_TO_END_SAMPLES,
+        "reps": reps,
+        "median_seconds": round(median, 6),
+        "run_row_samples_per_sec": round(END_TO_END_SAMPLES / median, 1),
+    }
 
 
 def test_table3_render(benchmark):

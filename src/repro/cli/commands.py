@@ -343,7 +343,7 @@ def cmd_sample(args, out: TextIO) -> int:
     if args.var is not None:
         print("mean %s:   %.4f (std %.4f)"
               % (args.var, samples.mean(), samples.std()), file=out)
-    _print_counts(samples.values, args.top, out)
+    _print_counts(samples.histogram(), args.top, out)
     return 0
 
 
@@ -502,9 +502,9 @@ def cmd_mcmc(args, out: TextIO) -> int:
         print("ESS(%s):     %.0f of %d"
               % (args.var, effective_sample_size(numeric), len(values)),
               file=out)
-        _print_counts(values, args.top, out)
+        _print_counts(Counter(values), args.top, out)
     else:
-        _print_counts(chain.states, args.top, out)
+        _print_counts(Counter(chain.states), args.top, out)
     return 0
 
 
@@ -514,8 +514,9 @@ def _extractor(var: Optional[str]):
     return lambda state: state[var]
 
 
-def _print_counts(values, top: int, out: TextIO) -> None:
-    counts = Counter(values)
+def _print_counts(histogram, top: int, out: TextIO) -> None:
+    """Print the ``top`` most frequent outcomes of a value -> count map."""
+    counts = Counter(histogram)
     total = sum(counts.values())
     print("top outcomes:", file=out)
     for value, count in counts.most_common(top):

@@ -29,7 +29,7 @@ the old static heuristic as the cold-start prior.
 """
 
 import time
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bits.source import BitSource, CountingBits
 from repro.cftree.tree import CFTree
@@ -38,7 +38,7 @@ from repro.engine.pool import BitPool, HAVE_NUMPY
 from repro.engine.table import LoweringError, NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
-from repro.sampler.record import SampleSet
+from repro.sampler.record import SampleSet, join_buffers
 
 BACKENDS = ("auto", "native", "numpy", "python", "sequential")
 
@@ -297,7 +297,7 @@ def _emit_run(program, profile, result: CollectResult, n: int,
             seconds=result.seconds,
             engine=result.engine,
             backend=profile.backend if profile is not None else None,
-            bits_total=sum(result.samples.bits),
+            bits_total=result.samples.total_bits(),
             cache_source=cache_source,
             fallback_reason=result.fallback_reason,
             table_rows=result.table_nodes,
@@ -401,8 +401,9 @@ class BatchSampler:
         source: Optional[BitSource],
         fuel: Optional[int],
         backend: str,
-    ) -> Tuple[List[int], List[int]]:
-        """One driver call: payload indices + per-sample bit counts."""
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """One driver call: payload indices + per-sample bit counts
+        (lists, or the numpy driver's ``int64`` arrays as they are)."""
         if backend == "native":
             indices_bits = self._collect_native(n, seed, fuel)
             if indices_bits is not None:
@@ -428,10 +429,9 @@ class BatchSampler:
             return _driver.collect_python(
                 self.table, n, BitPool(seed), fuel, self.tied
             )
-        raw_indices, raw_bits = _driver.collect_numpy(
+        return _driver.collect_numpy(
             self.table, n, seed=seed, max_steps=fuel, tied=self.tied
         )
-        return raw_indices.tolist(), raw_bits.tolist()
 
     def _collect_native(
         self, n: int, seed: Optional[int], fuel: Optional[int]
@@ -470,10 +470,15 @@ class BatchSampler:
         backend: str = "auto",
         batch_size: Optional[int] = None,
     ) -> SampleSet:
-        """Draw ``n`` samples and return a :class:`SampleSet`.
+        """Draw ``n`` samples and return a columnar :class:`SampleSet`.
 
-        ``extract`` is applied once per *distinct* terminal payload, not
-        once per sample -- a large win when payloads are program states.
+        The driver's leaf indices and bit counts become the set's
+        columns as they are (the numpy driver's ``int64`` arrays without
+        a copy), and ``extract`` is applied once per *distinct* terminal
+        payload to build the payload table, not once per sample -- a
+        large win when payloads are program states.  No per-sample
+        Python object is built; ``values``/``bits`` lists materialise
+        only when a caller reads them.
 
         ``batch_size`` splits the collection into chunks of at most that
         many samples per driver call (bounding peak lane memory on the
@@ -510,7 +515,7 @@ class BatchSampler:
             indices, bits = self._collect_indices(n, seed, shared, fuel,
                                                   backend)
         else:
-            indices, bits = [], []
+            index_parts, bit_parts = [], []
             drawn = 0
             chunk_index = 0
             while drawn < n:
@@ -522,16 +527,17 @@ class BatchSampler:
                 chunk_indices, chunk_bits = self._collect_indices(
                     chunk, chunk_seed, None, fuel, backend
                 )
-                indices.extend(chunk_indices)
-                bits.extend(chunk_bits)
+                index_parts.append(chunk_indices)
+                bit_parts.append(chunk_bits)
                 drawn += chunk
                 chunk_index += 1
+            indices = join_buffers(index_parts)
+            bits = join_buffers(bit_parts)
 
-        mapped = self.table.map_payloads(extract)
-        values = [
-            mapped[i] if i >= 0 else _driver.ENGINE_FAIL for i in indices
-        ]
-        return SampleSet(values, bits)
+        return SampleSet.from_columns(
+            indices, self.table.map_payloads(extract), bits,
+            fail=_driver.ENGINE_FAIL,
+        )
 
     def samples(
         self,

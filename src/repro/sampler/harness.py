@@ -16,7 +16,7 @@ from repro.lang.state import State
 from repro.lang.syntax import Command
 from repro.sampler.record import SampleSet
 from repro.stats.divergence import kl_divergence, smape, tv_distance
-from repro.stats.empirical import empirical_pmf
+from repro.stats.empirical import pmf_from_counts
 
 
 class Row(NamedTuple):
@@ -105,20 +105,23 @@ def row_from_samples(
     true_pmf: Optional[Dict[object, float]] = None,
     numeric: Callable[[object], float] = float,
 ) -> Row:
-    """Build a :class:`Row` from an existing sample set."""
+    """Build a :class:`Row` from an existing sample set.
+
+    Every column is a function of the set's outcome and bit-count
+    histograms, so the cost is O(distinct leaves + distinct bit counts)
+    and ``numeric`` runs once per distinct leaf, not once per sample.
+    """
     tv = kl = sm = None
     if true_pmf is not None:
-        observed = empirical_pmf(samples.values)
+        observed = pmf_from_counts(samples.histogram())
         tv = tv_distance(observed, true_pmf)
         kl = kl_divergence(observed, true_pmf)
         sm = smape(observed, true_pmf)
-    numbers = [numeric(v) for v in samples.values]
-    mu = sum(numbers) / len(numbers)
-    var = sum((x - mu) ** 2 for x in numbers) / len(numbers)
+    mu, sigma = samples.moments(numeric)
     return Row(
         param=param,
         mean=mu,
-        std=var ** 0.5,
+        std=sigma,
         tv=tv,
         kl=kl,
         smape=sm,

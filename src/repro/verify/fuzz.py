@@ -168,7 +168,8 @@ def fuzz_one(
 
     sampler = cpgcl_to_itree(program, sigma)
     drawn = collect(sampler, samples, seed=seed)
-    frequency = sum(1 for v in drawn.values if v["x"] > 0) / samples
+    frequency = sum(count for v, count in drawn.payload_counts()
+                    if v["x"] > 0) / samples
     if abs(frequency - expected) > threshold:
         return Discrepancy(
             seed, program, "sampler",

@@ -184,7 +184,8 @@ def check_equidistribution(
         options=options,
     ))
     samples = _equidistribution_samples(command, sigma, n, seed)
-    hits = sum(1 for value in samples.values if predicate(value))
+    hits = sum(count for value, count in samples.payload_counts()
+               if predicate(value))
     frequency = hits / len(samples)
     if tolerance is not None:
         if abs(frequency - expected) > tolerance:
