@@ -57,6 +57,7 @@ class CompilationCache:
         self.misses = 0
         self.stores = 0
         self.disk_stores = 0
+        self.disk_corrupt = 0
 
     # -- in-memory tier --------------------------------------------------
 
@@ -123,9 +124,11 @@ class CompilationCache:
         try:
             with open(path, "rb") as handle:
                 record = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except OSError:
             return None
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError, KeyError, TypeError, ValueError):
+            return self._drop_corrupt(path)
         if (
             not isinstance(record, dict)
             or record.get("format") != _DISK_FORMAT
@@ -137,7 +140,16 @@ class CompilationCache:
         try:
             return CompiledProgram.from_disk_payload(record["payload"])
         except (KeyError, TypeError, ValueError):
-            return None
+            return self._drop_corrupt(path)
+
+    def _drop_corrupt(self, path: str) -> None:
+        """Unlink an entry that does not load; the caller recompiles
+        (and stores a fresh entry) as on any miss."""
+        self.disk_corrupt += 1
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
     # -- introspection ---------------------------------------------------
 
@@ -148,6 +160,7 @@ class CompilationCache:
             "misses": self.misses,
             "stores": self.stores,
             "disk_stores": self.disk_stores,
+            "disk_corrupt": self.disk_corrupt,
             "entries": len(self._entries),
             "capacity": self.capacity,
             "disk_dir": self.disk_dir,

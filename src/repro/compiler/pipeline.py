@@ -1,4 +1,5 @@
-"""``Pipeline``: the staged compiler (normalize -> build -> optimize -> lower).
+"""``Pipeline``: the staged compiler (normalize -> analyze -> build ->
+optimize -> lower).
 
 The seed ran Definition 3.13 as ad-hoc function calls
 (``compile_cpgcl`` -> ``elim_choices`` -> ``debias`` -> ``lower_cftree``)
@@ -8,21 +9,24 @@ explicit, named, and inspectable:
 - **normalize** -- intern the command and initial state to canonical
   representatives (structural hashing, :mod:`repro.compiler.normalize`)
   and derive the content digest that keys the compilation cache;
+- **analyze** -- command passes such as dead-branch pruning
+  (:mod:`repro.compiler.passes`);
 - **build** -- CF-tree construction (Definition 3.5);
 - **optimize** -- run the registered pass list
-  (:mod:`repro.compiler.passes`), recording DAG node counts before and
-  after each pass;
+  (:mod:`repro.compiler.passes`);
 - **lower** -- DAG-aware :class:`~repro.engine.table.NodeTable`
   emission: hash-consed row allocation, a bounded eager expansion of
   loop entries, and a compaction that threads jumps and merges
   congruent rows.
 
 ``compile`` returns a :class:`CompiledProgram`: the final tree, the
-node table, and a ``stats`` dict with per-stage metrics (the CLI's
-``compile`` subcommand renders it).  Results are cached by content
-digest -- in memory and, when configured, on disk -- so repeated
-``BatchSampler.from_command`` calls, CLI invocations, harness rows, and
-MCMC replays across processes reuse compiled artifacts.
+node table, and a ``stats`` dict with per-stage seconds and row counts;
+``measure_raw=True`` adds the stage report's DAG node counts and raw
+row delta (the CLI's ``compile`` subcommand renders it).  Results are
+cached by content digest -- in memory and, when configured, on disk --
+so repeated ``BatchSampler.from_command`` calls, CLI invocations,
+harness rows, and MCMC replays across processes reuse compiled
+artifacts.
 """
 
 import time
@@ -57,13 +61,14 @@ EAGER_EXPAND_DEFAULT = 1024
 def dag_size(tree: CFTree, unfold_fix: bool = True) -> int:
     """Distinct nodes reachable from ``tree``, shared subtrees counted once.
 
-    The metric the per-pass stats report: ``tree_size`` counts tree
-    paths, which double-counts shared subtrees and hides exactly what
-    CSE buys.  With ``unfold_fix`` each ``Fix`` is unfolded one step at
-    its entry state (the same evaluation eager lowering performs), so
-    loop bodies contribute; the unfolding terminates because a loop's
-    body tree never contains the loop's own ``Fix`` node again (leaves
-    re-enter it through the lowering memo instead).
+    The metric the stage report (``measure_raw=True``) gives per pass:
+    ``tree_size`` counts tree paths, which double-counts shared subtrees
+    and hides exactly what CSE buys.  With ``unfold_fix`` each ``Fix``
+    is unfolded one step at its entry state (the same evaluation eager
+    lowering performs), so loop bodies contribute; the unfolding
+    terminates because a loop's body tree never contains the loop's own
+    ``Fix`` node again (leaves re-enter it through the lowering memo
+    instead).
     """
     seen = set()
     stack = [tree]
@@ -208,16 +213,22 @@ class CompiledProgram:
 
 
 class Pipeline:
-    """A configured staged compiler; cheap to construct, safe to share."""
+    """A configured staged compiler; cheap to construct, safe to share.
+
+    Every compile runs one stage sequence: analyze -> build -> optimize
+    (:meth:`_stages`, also what rebinds a thawed open table on a disk
+    hit), then lower -> store (:meth:`_emit`).  ``stats`` always carries
+    the per-stage seconds, row counts and pruned sites; DAG node counts
+    (``dag_size``) and the raw-lowering row delta are stage-report data,
+    computed only when a caller passes ``measure_raw=True``.
+    """
 
     def __init__(
         self,
         passes: Tuple[str, ...] = DEFAULT_PASSES,
         coalesce: str = "loopback",
         max_nodes: int = 2_000_000,
-        dedupe: bool = True,
         eager_expand: int = EAGER_EXPAND_DEFAULT,
-        compact: bool = True,
         cache: Optional[CompilationCache] = None,
         use_cache: bool = True,
         command_passes: Tuple[str, ...] = DEFAULT_COMMAND_PASSES,
@@ -228,18 +239,18 @@ class Pipeline:
         self.command_passes = resolve_command_passes(command_passes)
         self.coalesce = coalesce
         self.max_nodes = max_nodes
-        self.dedupe = dedupe
         self.eager_expand = eager_expand
-        self.compact = compact
         self.use_cache = use_cache
         self._cache = cache
         # Table-shaping knobs beyond the core (program, coalesce,
         # passes, max_nodes) key -- part of every cache digest so
         # differently-configured pipelines never collide on one entry.
+        # Row dedupe and compaction are always on; their fixed entries
+        # keep the digest input, and so existing stores, unchanged.
         self._digest_options = (
-            "dedupe", dedupe,
+            "dedupe", True,
             "eager_expand", eager_expand,
-            "compact", compact,
+            "compact", True,
             "command_passes", self.command_pass_names,
         )
 
@@ -257,10 +268,13 @@ class Pipeline:
     ) -> CompiledProgram:
         """Run all stages on ``(command, sigma)``.
 
-        ``measure_raw=True`` additionally lowers the program *without*
-        the CSE/dedupe/compaction machinery and records the row-count
-        delta under ``stats["lower"]["rows_raw"]`` (used by ``zar
-        compile`` and the compiler benchmark; costs a second lowering).
+        ``measure_raw=True`` asks for the stage report: it bypasses the
+        cache lookup, records DAG node counts (``stats["build"]
+        ["dag_nodes"]`` and each pass's ``dag_nodes_before``/
+        ``dag_nodes_after``), and lowers the program a second time
+        *without* the CSE/dedupe/compaction machinery to record the
+        row-count delta under ``stats["lower"]["rows_raw"]`` (used by
+        ``zar compile`` and the compiler benchmark).
         """
         sigma = sigma if sigma is not None else State()
 
@@ -268,89 +282,29 @@ class Pipeline:
         t0 = time.perf_counter()
         command = normalize_command(command)
         sigma = normalize_state(sigma)
-        digest = None
-        undigestable = None
-        try:
-            digest = program_digest(
+        digest, undigestable = _digest_or_reason(
+            lambda: program_digest(
                 command, sigma, self.coalesce, self.pass_names,
                 self.max_nodes, self._digest_options,
             )
-        except Undigestable as err:
-            undigestable = str(err)
+        )
         normalize_seconds = time.perf_counter() - t0
 
-        cache = self.cache if self.use_cache else None
-        if digest is not None and cache is not None and not measure_raw:
-            hit = cache.get(digest)
-            if hit is not None:
-                if getattr(hit.table, "needs_rebind", False):
-                    # Thawed open table: recompile the (cheap) tree and
-                    # re-attach live closures; expansions are *not*
-                    # redone -- that is the whole point of the spill.
-                    t0 = time.perf_counter()
-                    tree = self._rebuild_tree(command, sigma)
-                    hit.table.thaw_bind(tree)
-                    hit.tree = tree
-                    hit.stats["thaw"] = {
-                        "seconds": time.perf_counter() - t0,
-                        "rows": len(hit.table),
-                        "pending": hit.table.pending_stubs,
-                    }
-                return hit
-
-        stats: Dict[str, object] = {
-            "digest": digest,
-            "undigestable": undigestable,
-            "coalesce": self.coalesce,
-            "passes": list(self.pass_names),
-            "normalize": dict(normalize_stats(), seconds=normalize_seconds),
-        }
-
-        # analyze --------------------------------------------------------
-        # Command passes (abstract-interpretation-driven rewrites such as
-        # dead-branch pruning) run on the normalized command; the digest
-        # above covers them through ``command_passes`` in the options, so
-        # cached artifacts remain keyed by the *source* program.
-        t0 = time.perf_counter()
-        analysis_info: Dict[str, object] = {
-            "passes": list(self.command_pass_names),
-        }
-        build_command = command
-        for entry in self.command_passes:
-            build_command, info = entry.run(build_command, sigma)
-            analysis_info.update(info)
-        if build_command is not command:
-            build_command = normalize_command(build_command)
-        analysis_info["seconds"] = time.perf_counter() - t0
-        stats["analysis"] = analysis_info
-
-        # build ----------------------------------------------------------
-        t0 = time.perf_counter()
-        tree = compile_cpgcl(build_command, sigma, self.coalesce)
-        stats["build"] = {
-            "seconds": time.perf_counter() - t0,
-            "dag_nodes": dag_size(tree),
-        }
-
-        # optimize -------------------------------------------------------
-        ctx = PassContext(coalesce=self.coalesce)
-        tree, pass_stats = self._optimize(tree, ctx)
-        stats["optimize"] = pass_stats
-
-        # lower ----------------------------------------------------------
-        table, lower_stats = self._lower(tree)
-        if measure_raw:
-            lower_stats.update(self._measure_raw(command, sigma, len(table)))
-        stats["lower"] = lower_stats
-        stats["cftree_cache"] = compile_cache_stats()
-
-        program = CompiledProgram(
-            command, sigma, self.coalesce, self.pass_names,
-            tree, table, digest, stats,
+        hit = self._lookup(
+            digest, measure_raw, lambda: self._stages(command, sigma)[0]
         )
-        if digest is not None and cache is not None:
-            cache.put(digest, program)
-        return program
+        if hit is not None:
+            return hit
+
+        stats = self._stats_head(digest, undigestable)
+        stats["normalize"] = dict(normalize_stats(), seconds=normalize_seconds)
+        tree, stage_stats = self._stages(command, sigma, measure_raw)
+        stats.update(stage_stats)
+        raw_source = (
+            (lambda: compile_cpgcl(command, sigma, self.coalesce))
+            if measure_raw else None
+        )
+        return self._emit(command, sigma, tree, digest, stats, raw_source)
 
     def compile_tree(
         self,
@@ -365,103 +319,134 @@ class Pipeline:
         the tree itself is undigestable (rejection wrappers contain
         ``Fix`` closures): e.g. ``("uniform_tree", 6, "loopback")``.
         """
-        digest = None
-        undigestable = None
-        try:
-            if key_parts is not None:
-                digest = fingerprint(
-                    "tree-key", tuple(key_parts), self.coalesce,
-                    self.pass_names, self.max_nodes, self._digest_options,
-                )
-            else:
-                digest = fingerprint(
-                    "tree", tree, self.coalesce, self.pass_names,
-                    self.max_nodes, self._digest_options,
-                )
-        except Undigestable as err:
-            undigestable = str(err)
+        keyed = (
+            ("tree-key", tuple(key_parts)) if key_parts is not None
+            else ("tree", tree)
+        )
+        digest, undigestable = _digest_or_reason(
+            lambda: fingerprint(
+                *keyed, self.coalesce, self.pass_names, self.max_nodes,
+                self._digest_options,
+            )
+        )
+        hit = self._lookup(
+            digest, measure_raw, lambda: self._optimize(tree)[0]
+        )
+        if hit is not None:
+            return hit
 
-        cache = self.cache if self.use_cache else None
-        if digest is not None and cache is not None and not measure_raw:
-            hit = cache.get(digest)
-            if hit is not None:
-                if getattr(hit.table, "needs_rebind", False):
-                    t0 = time.perf_counter()
-                    ctx = PassContext(coalesce=self.coalesce)
-                    bound, _ = self._optimize(tree, ctx)
-                    hit.table.thaw_bind(bound)
-                    hit.tree = bound
-                    hit.stats["thaw"] = {
-                        "seconds": time.perf_counter() - t0,
-                        "rows": len(hit.table),
-                        "pending": hit.table.pending_stubs,
-                    }
-                return hit
+        stats = self._stats_head(digest, undigestable)
+        optimized, stats["optimize"] = self._optimize(tree, measure_raw)
+        raw_source = (lambda: tree) if measure_raw else None
+        return self._emit(None, None, optimized, digest, stats, raw_source)
 
-        stats: Dict[str, object] = {
+    # -- helpers ---------------------------------------------------------
+
+    def _lookup(self, digest, measure_raw, rebind_tree):
+        """The cached program for ``digest``, or None (a miss, no
+        digest, caching off, or a ``measure_raw`` stage report).
+
+        A thawed open table gets live closures from ``rebind_tree()``;
+        its expansions are *not* redone -- that is the whole point of
+        the spill.
+        """
+        if digest is None or not self.use_cache or measure_raw:
+            return None
+        hit = self.cache.get(digest)
+        if hit is not None and getattr(hit.table, "needs_rebind", False):
+            t0 = time.perf_counter()
+            tree = rebind_tree()
+            hit.table.thaw_bind(tree)
+            hit.tree = tree
+            hit.stats["thaw"] = {
+                "seconds": time.perf_counter() - t0,
+                "rows": len(hit.table),
+                "pending": hit.table.pending_stubs,
+            }
+        return hit
+
+    def _stats_head(self, digest, undigestable) -> Dict[str, object]:
+        return {
             "digest": digest,
             "undigestable": undigestable,
             "coalesce": self.coalesce,
             "passes": list(self.pass_names),
         }
-        ctx = PassContext(coalesce=self.coalesce)
-        source = tree
-        tree, pass_stats = self._optimize(tree, ctx)
-        stats["optimize"] = pass_stats
-        table, lower_stats = self._lower(tree)
-        if measure_raw:
-            raw = self._raw_rows(source)
-            lower_stats["rows_raw"] = raw
-            lower_stats["reduction_pct"] = _reduction(raw, len(table))
-        stats["lower"] = lower_stats
 
-        program = CompiledProgram(
-            None, None, self.coalesce, self.pass_names,
-            tree, table, digest, stats,
-        )
-        if digest is not None and cache is not None:
-            cache.put(digest, program)
-        return program
-
-    # -- helpers ---------------------------------------------------------
-
-    def _rebuild_tree(self, command: Command, sigma: State) -> CFTree:
-        """The optimized tree for ``(command, sigma)``, without stats
-        bookkeeping -- used to rebind thawed open tables."""
+    def _stages(self, command, sigma, measure=False):
+        """analyze -> build -> optimize: the optimized tree for the
+        normalized ``(command, sigma)`` and those stages' stats."""
+        # analyze --------------------------------------------------------
+        # Command passes (abstract-interpretation-driven rewrites such as
+        # dead-branch pruning) run on the normalized command; the digest
+        # covers them through ``command_passes`` in the options, so
+        # cached artifacts remain keyed by the *source* program.
+        t0 = time.perf_counter()
+        analysis: Dict[str, object] = {
+            "passes": list(self.command_pass_names),
+        }
         build_command = command
         for entry in self.command_passes:
-            build_command, _ = entry.run(build_command, sigma)
+            build_command, info = entry.run(build_command, sigma)
+            analysis.update(info)
         if build_command is not command:
             build_command = normalize_command(build_command)
-        tree = compile_cpgcl(build_command, sigma, self.coalesce)
-        ctx = PassContext(coalesce=self.coalesce)
-        tree, _ = self._optimize(tree, ctx)
-        return tree
+        analysis["seconds"] = time.perf_counter() - t0
 
-    def _optimize(self, tree, ctx):
+        # build ----------------------------------------------------------
+        t0 = time.perf_counter()
+        tree = compile_cpgcl(build_command, sigma, self.coalesce)
+        build: Dict[str, object] = {"seconds": time.perf_counter() - t0}
+        if measure:
+            build["dag_nodes"] = dag_size(tree)
+
+        # optimize -------------------------------------------------------
+        tree, optimize = self._optimize(tree, measure)
+        return tree, {"analysis": analysis, "build": build,
+                      "optimize": optimize}
+
+    def _optimize(self, tree, measure=False):
+        """Run the pass list; one ``{name, seconds}`` record per pass,
+        plus its DAG node counts before and after under ``measure``."""
+        ctx = PassContext(coalesce=self.coalesce)
         records: List[dict] = []
-        before = dag_size(tree)
+        before = dag_size(tree) if measure else None
         for entry in self.passes:
             t0 = time.perf_counter()
             tree = entry.run(tree, ctx)
-            seconds = time.perf_counter() - t0
-            after = dag_size(tree)
-            records.append(
-                {
-                    "name": entry.name,
-                    "dag_nodes_before": before,
-                    "dag_nodes_after": after,
-                    "seconds": seconds,
-                }
-            )
-            before = after
+            record = {"name": entry.name, "seconds": time.perf_counter() - t0}
+            if measure:
+                after = dag_size(tree)
+                record["dag_nodes_before"] = before
+                record["dag_nodes_after"] = after
+                before = after
+            records.append(record)
         return tree, records
+
+    def _emit(self, command, sigma, tree, digest, stats, raw_source):
+        """lower -> store.  ``raw_source()``, when given, is the tree
+        the ``rows_raw`` baseline lowers."""
+        table, lower_stats = self._lower(tree)
+        if raw_source is not None:
+            rows_raw = self._raw_rows(raw_source())
+            lower_stats["rows_raw"] = rows_raw
+            lower_stats["reduction_pct"] = _reduction(rows_raw, len(table))
+        stats["lower"] = lower_stats
+        stats["cftree_cache"] = compile_cache_stats()
+
+        program = CompiledProgram(
+            command, sigma, self.coalesce, self.pass_names,
+            tree, table, digest, stats,
+        )
+        if digest is not None and self.use_cache:
+            self.cache.put(digest, program)
+        return program
 
     def _lower(self, tree):
         t0 = time.perf_counter()
-        table = NodeTable.from_cftree(tree, self.max_nodes, self.dedupe)
+        table = NodeTable.from_cftree(tree, self.max_nodes)
         closed = table.expand_all(limit=self.eager_expand)
-        removed = table.compact() if self.compact else 0
+        removed = table.compact()
         return table, {
             "rows": len(table),
             "closed": closed,
@@ -483,14 +468,14 @@ class Pipeline:
         table.expand_all(limit=self.eager_expand)
         return len(table)
 
-    def _measure_raw(self, command, sigma, optimized_rows):
-        rows_raw = self._raw_rows(
-            compile_cpgcl(command, sigma, self.coalesce)
-        )
-        return {
-            "rows_raw": rows_raw,
-            "reduction_pct": _reduction(rows_raw, optimized_rows),
-        }
+
+def _digest_or_reason(make_digest):
+    """``(digest, None)``, or ``(None, reason)`` for an undigestable
+    program (it then bypasses the cache)."""
+    try:
+        return make_digest(), None
+    except Undigestable as err:
+        return None, str(err)
 
 
 def _reduction(raw: int, optimized: int) -> float:
@@ -523,6 +508,8 @@ def compile_program(
 
     The default-configuration fast path reuses one ``Pipeline`` instance
     so every entry point shares the same compilation cache.
+    ``measure_raw=True`` compiles afresh and returns the stage report
+    (DAG node counts, raw row delta; see :meth:`Pipeline.compile`).
     """
     if (
         passes == DEFAULT_PASSES

@@ -38,7 +38,7 @@ from repro.engine.pool import BitPool, HAVE_NUMPY
 from repro.engine.table import LoweringError, NodeTable
 from repro.lang.state import State
 from repro.lang.syntax import Command
-from repro.sampler.record import SampleSet, join_buffers
+from repro.sampler.record import SampleSet
 
 BACKENDS = ("auto", "native", "numpy", "python", "sequential")
 
@@ -245,7 +245,6 @@ def collect_auto(
                 extract=extract,
                 fuel=run_fuel,
                 backend=run_backend,
-                batch_size=resolved.batch_size,
             )
         except LoweringError as err:
             # Open tables can overflow their node budget mid-sampling.
@@ -355,24 +354,6 @@ class BatchSampler:
         return cls(program.table)
 
     @classmethod
-    def from_profile(
-        cls,
-        command: Command,
-        sigma: Optional[State] = None,
-        profile: Optional[object] = None,
-    ) -> "BatchSampler":
-        """Lower ``command`` with an :class:`~repro.engine.profile.
-        EngineProfile`'s compiler-shaping knobs."""
-        from repro.engine.profile import PROFILES, validate_profile
-
-        if profile is None:
-            profile = PROFILES["batch-auto"]
-        else:
-            validate_profile(profile)
-        program = _compile_with(command, sigma, profile)
-        return cls(program.table)
-
-    @classmethod
     def from_cftree(
         cls,
         tree: CFTree,
@@ -468,7 +449,6 @@ class BatchSampler:
         extract: Optional[Callable[[object], object]] = None,
         fuel: Optional[int] = None,
         backend: str = "auto",
-        batch_size: Optional[int] = None,
     ) -> SampleSet:
         """Draw ``n`` samples and return a columnar :class:`SampleSet`.
 
@@ -479,16 +459,6 @@ class BatchSampler:
         large win when payloads are program states.  No per-sample
         Python object is built; ``values``/``bits`` lists materialise
         only when a caller reads them.
-
-        ``batch_size`` splits the collection into chunks of at most that
-        many samples per driver call (bounding peak lane memory on the
-        numpy backend).  Chunked pooled backends derive one seed per
-        chunk, so the draw remains seeded-deterministic and i.i.d. but
-        the concatenated stream differs from an unchunked run;
-        ``batch_size=None`` (the default, and the registry profiles')
-        is the bit-stable single-call path.  The sequential backend
-        threads one counting source through every chunk, so chunking
-        never changes its bit stream.
         """
         if n <= 0:
             raise ValueError("need a positive sample count")
@@ -503,36 +473,7 @@ class BatchSampler:
         elif backend == "auto":
             backend = "numpy" if HAVE_NUMPY else "python"
 
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive or None")
-        if batch_size is None or batch_size >= n:
-            indices, bits = self._collect_indices(n, seed, source, fuel,
-                                                  backend)
-        elif backend == "sequential":
-            # One shared source: chunk boundaries are invisible to the
-            # bit stream.
-            shared = source if source is not None else BitPool(seed)
-            indices, bits = self._collect_indices(n, seed, shared, fuel,
-                                                  backend)
-        else:
-            index_parts, bit_parts = [], []
-            drawn = 0
-            chunk_index = 0
-            while drawn < n:
-                chunk = min(batch_size, n - drawn)
-                chunk_seed = (
-                    None if seed is None
-                    else (seed + 0x9E3779B1 * (chunk_index + 1)) % (2 ** 63)
-                )
-                chunk_indices, chunk_bits = self._collect_indices(
-                    chunk, chunk_seed, None, fuel, backend
-                )
-                index_parts.append(chunk_indices)
-                bit_parts.append(chunk_bits)
-                drawn += chunk
-                chunk_index += 1
-            indices = join_buffers(index_parts)
-            bits = join_buffers(bit_parts)
+        indices, bits = self._collect_indices(n, seed, source, fuel, backend)
 
         return SampleSet.from_columns(
             indices, self.table.map_payloads(extract), bits,

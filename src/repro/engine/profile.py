@@ -51,18 +51,16 @@ class EngineProfile(NamedTuple):
 
     ``engine`` picks the driver family (``"batch"`` or ``"trampoline"``;
     ``"auto"`` never appears *inside* a profile -- it is the policy that
-    chooses one).  ``backend`` picks the batch driver tier; ``batch_size``
-    optionally chunks large collects (``None`` = one driver call, the
-    bit-exact default).  The compiler knobs (``passes``, ``coalesce``,
-    ``max_nodes``) are part of the profile because they shape the table
-    the drivers run -- they are folded into the artifact digest, so
-    differently-profiled compilations never collide in the cache.
+    chooses one).  ``backend`` picks the batch driver tier.  The
+    compiler knobs (``passes``, ``coalesce``, ``max_nodes``) are part of
+    the profile because they shape the table the drivers run -- they are
+    folded into the artifact digest, so differently-profiled
+    compilations never collide in the cache.
     """
 
     name: str = "custom"
     engine: str = "batch"
     backend: str = "auto"
-    batch_size: Optional[int] = None
     passes: Tuple[str, ...] = DEFAULT_PASSES
     coalesce: str = "loopback"
     narrow: bool = False
@@ -77,7 +75,6 @@ class EngineProfile(NamedTuple):
             "name": self.name,
             "engine": self.engine,
             "backend": self.backend,
-            "batch_size": self.batch_size,
             "passes": list(self.passes),
             "coalesce": self.coalesce,
             "narrow": self.narrow,
@@ -92,8 +89,6 @@ class EngineProfile(NamedTuple):
         else:
             core = "batch/%s" % self.backend
         extras = []
-        if self.batch_size is not None:
-            extras.append("chunk=%d" % self.batch_size)
         if self.narrow:
             extras.append("narrow")
         if self.fuel is not None:
@@ -136,8 +131,6 @@ def validate_profile(profile: EngineProfile) -> EngineProfile:
             "unknown backend %r (valid: %s)"
             % (profile.backend, ", ".join(BACKENDS))
         )
-    if profile.batch_size is not None and profile.batch_size <= 0:
-        raise ValueError("batch_size must be positive or None")
     if profile.max_nodes <= 0:
         raise ValueError("max_nodes must be positive")
     return profile

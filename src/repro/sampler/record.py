@@ -43,16 +43,6 @@ def _int_buffer(data: Sequence[int]):
     return array("q", data)
 
 
-def join_buffers(parts: Sequence[Sequence[int]]):
-    """Concatenate columns drawn in chunks into one column."""
-    if _np is not None:
-        return _np.concatenate([_int_buffer(part) for part in parts])
-    joined = array("q")
-    for part in parts:
-        joined.extend(_int_buffer(part))
-    return joined
-
-
 def _tally(buffer, offset: int = 0) -> Dict[int, int]:
     """Count each value of an integer column, in ascending value order.
 

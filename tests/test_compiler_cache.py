@@ -118,16 +118,15 @@ class TestCompilationCache:
         assert cache.stats()["memory_hits"] == 1
 
     def test_table_shaping_options_are_part_of_the_key(self):
-        # A pipeline with dedupe/compaction disabled must not collide
-        # with (or poison) the default pipeline's cache entry.
+        # A pipeline with another eager-expansion budget must not
+        # collide with (or poison) the default pipeline's cache entry.
         cache = CompilationCache(capacity=8)
-        optimized = Pipeline(cache=cache).compile(n_sided_die(6))
-        raw = Pipeline(
-            cache=cache, dedupe=False, compact=False
-        ).compile(n_sided_die(6))
-        assert raw is not optimized
-        assert raw.digest != optimized.digest
-        assert len(raw.table) > len(optimized.table)
+        eager = Pipeline(cache=cache).compile(n_sided_die(6))
+        lazy = Pipeline(cache=cache, eager_expand=0).compile(n_sided_die(6))
+        assert lazy is not eager
+        assert lazy.digest != eager.digest
+        assert eager.table.pending_stubs == 0
+        assert lazy.table.pending_stubs > 0
 
 
 class TestDiskCache:
@@ -187,6 +186,31 @@ class TestDiskCache:
         program = fresh.compile(command)
         assert program.source == "built"
         assert fresh_cache.stats()["disk_hits"] == 0
+
+    def test_unsupported_pickle_protocol_is_dropped(self, tmp_path):
+        # Garbage that pickle rejects with ValueError ("unsupported
+        # pickle protocol: 200"): a miss that unlinks the entry, counted
+        # as corrupt, then a fresh store.
+        command = n_sided_die(6)
+        pipeline, cache = self._pipeline(tmp_path)
+        built = pipeline.compile(command)
+        (artifact,) = list(tmp_path.iterdir())
+        artifact.write_bytes(b"\x80\xc8garbage")
+        fresh, fresh_cache = self._pipeline(tmp_path)
+        assert fresh_cache.get(built.digest) is None
+        assert not artifact.exists()
+        assert fresh_cache.stats()["disk_corrupt"] == 1
+
+        artifact.write_bytes(b"\x80\xc8garbage")
+        fresh, fresh_cache = self._pipeline(tmp_path)
+        program = fresh.compile(command)
+        assert program.source == "built"
+        stats = fresh_cache.stats()
+        assert (stats["disk_hits"], stats["misses"]) == (0, 1)
+        assert stats["disk_corrupt"] == 1
+        assert stats["disk_stores"] == 1
+        again, _ = self._pipeline(tmp_path)
+        assert again.compile(command).source == "disk"
 
     def test_stale_format_is_a_miss(self, tmp_path):
         command = n_sided_die(6)

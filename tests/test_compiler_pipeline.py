@@ -27,6 +27,7 @@ from repro.compiler.passes import (
     resolve_passes,
 )
 from repro.compiler.pipeline import (
+    EAGER_EXPAND_DEFAULT,
     CompiledProgram,
     Pipeline,
     compile_program,
@@ -150,14 +151,16 @@ class TestPassManager:
         with_cse = Pipeline(
             passes=("elim_choices", "debias", "cse"), use_cache=False
         ).compile(command)
-        without = Pipeline(
-            passes=("elim_choices", "debias"),
-            dedupe=False,
-            compact=False,
-            use_cache=False,
-        ).compile(command)
+        # The reference is the raw-rows baseline: no CSE, no row
+        # dedupe, eager expansion, no compaction.
+        tree = compile_cpgcl(command, S0)
+        ctx = PassContext(coalesce="loopback")
+        for entry in resolve_passes(("elim_choices", "debias")):
+            tree = entry.run(tree, ctx)
+        without = NodeTable.from_cftree(tree, dedupe=False)
+        without.expand_all(limit=EAGER_EXPAND_DEFAULT)
         assert _stream(with_cse.table, samples, seed=91) == _stream(
-            without.table, samples, seed=91
+            without, samples, seed=91
         )
 
     @pytest.mark.parametrize(
@@ -317,6 +320,96 @@ class TestLowering:
         duplicated = TChoice(Fraction(1, 2), Leaf(1), Leaf(1))
         assert dag_size(shared) == 2
         assert dag_size(duplicated) == 3
+
+
+class TestStageReport:
+    """DAG node counts are stage-report data: computed under
+    ``measure_raw=True`` only, never on a default compile or a rebind."""
+
+    @pytest.fixture
+    def dag_calls(self, monkeypatch):
+        import repro.compiler.pipeline as pipeline_module
+
+        calls = []
+
+        def counting(tree, unfold_fix=True):
+            calls.append(tree)
+            return dag_size(tree, unfold_fix)
+
+        monkeypatch.setattr(pipeline_module, "dag_size", counting)
+        return calls
+
+    def test_default_compile_counts_nothing(self, dag_calls):
+        program = Pipeline(use_cache=False).compile(n_sided_die(6))
+        assert dag_calls == []
+        assert "dag_nodes" not in program.stats["build"]
+        for record in program.stats["optimize"]:
+            assert set(record) == {"name", "seconds"}
+
+    def test_disk_hit_compile_rebind_counts_nothing(self, tmp_path,
+                                                    dag_calls):
+        from repro.compiler.cache import CompilationCache
+
+        command = geometric_primes(Fraction(1, 2))
+        Pipeline(
+            eager_expand=16, cache=CompilationCache(disk_dir=str(tmp_path))
+        ).compile(command)
+        fresh = Pipeline(
+            eager_expand=16, cache=CompilationCache(disk_dir=str(tmp_path))
+        )
+        loaded = fresh.compile(command)
+        assert loaded.source == "disk"
+        assert "thaw" in loaded.stats
+        assert not loaded.table.needs_rebind
+        assert dag_calls == []
+        assert _stream(loaded.table, 100, seed=3) == _reference_stream(
+            command, 100, seed=3
+        )
+
+    def test_disk_hit_compile_tree_rebind_counts_nothing(self, tmp_path,
+                                                         dag_calls):
+        from repro.compiler.cache import CompilationCache
+
+        def tree():
+            return compile_cpgcl(geometric_primes(Fraction(1, 2)), S0)
+
+        key = ("geometric_primes", "1/2")
+        built = Pipeline(
+            passes=("debias", "cse"), eager_expand=16,
+            cache=CompilationCache(disk_dir=str(tmp_path)),
+        ).compile_tree(tree(), key_parts=key)
+        assert built.table.pending_stubs > 0
+        fresh = Pipeline(
+            passes=("debias", "cse"), eager_expand=16,
+            cache=CompilationCache(disk_dir=str(tmp_path)),
+        )
+        loaded = fresh.compile_tree(tree(), key_parts=key)
+        assert loaded.source == "disk"
+        assert "thaw" in loaded.stats
+        assert not loaded.table.needs_rebind
+        assert dag_calls == []
+        assert _stream(loaded.table, 100, seed=3) == _stream(
+            built.table, 100, seed=3
+        )
+
+    @pytest.mark.parametrize("command,build,rows,raw", [
+        (n_sided_die(6), 14, 12, 19),
+        (dueling_coins(Fraction(2, 3)), 8, 18, 42),
+    ], ids=["die6", "dueling"])
+    def test_measure_raw_reports_dag_counts(self, command, build, rows, raw,
+                                            dag_calls):
+        program = Pipeline(use_cache=False).compile(command,
+                                                    measure_raw=True)
+        stats = program.stats
+        assert stats["build"]["dag_nodes"] == build
+        assert [
+            (r["name"], r["dag_nodes_before"], r["dag_nodes_after"])
+            for r in stats["optimize"]
+        ] == [(name, build, build) for name in DEFAULT_PASSES]
+        assert (stats["lower"]["rows"], stats["lower"]["rows_raw"]) == (
+            rows, raw
+        )
+        assert dag_calls
 
 
 class TestStructuralCompileCache:

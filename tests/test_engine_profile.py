@@ -120,10 +120,9 @@ class TestDifferentialBitExactness:
         reference = collect(
             cpgcl_to_itree(command, S0), n, source=BitPool(5)
         )
-        sampler = BatchSampler.from_profile(
-            command, profile=profile_named("batch-sequential")
-        )
-        engine = sampler.collect(n, source=BitPool(5))
+        profile = profile_named("batch-sequential")
+        sampler = BatchSampler.from_command(command)
+        engine = sampler.collect(n, source=BitPool(5), backend=profile.backend)
         _assert_same_samples(reference, engine, name)
 
     @pytest.mark.parametrize(
@@ -154,7 +153,7 @@ class TestSerializationAndTelemetry:
 
     def test_custom_profile_roundtrip_preserves_knobs(self):
         profile = EngineProfile(
-            name="weird", backend="python", batch_size=64,
+            name="weird", backend="python",
             passes=("debias", "cse"), narrow=True, fuel=99, max_nodes=123,
         )
         clone = profile_from_dict(profile.as_dict())
@@ -219,8 +218,6 @@ class TestValidationErrors:
             validate_profile(EngineProfile(engine="auto"))
 
     def test_bad_profile_knobs_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            validate_profile(EngineProfile(batch_size=0))
         with pytest.raises(ValueError, match="max_nodes"):
             validate_profile(EngineProfile(max_nodes=0))
 

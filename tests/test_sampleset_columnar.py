@@ -133,32 +133,6 @@ class TestListViews:
 
     @pytest.mark.parametrize("backend", ["python", pytest.param(
         "numpy", marks=requires_numpy)])
-    def test_batch_size_chunks_concatenate(self, backend):
-        sampler = BatchSampler.from_command(n_sided_die(6))
-        extract = lambda s: s["x"]  # noqa: E731
-        n, size, seed = 2500, 1000, 4
-        samples = sampler.collect(n, seed=seed, extract=extract,
-                                  backend=backend, batch_size=size)
-        values, bits = [], []
-        for chunk_index, start in enumerate(range(0, n, size)):
-            chunk_seed = (seed + 0x9E3779B1 * (chunk_index + 1)) % (2 ** 63)
-            part = sampler.collect(min(size, n - start), seed=chunk_seed,
-                                   extract=extract, backend=backend)
-            values += part.values
-            bits += part.bits
-        _assert_plain_lists(samples)
-        assert (samples.values, samples.bits) == (values, bits)
-        assert len(samples) == n
-
-    def test_sequential_chunks_share_one_stream(self):
-        sampler = BatchSampler.from_command(n_sided_die(6))
-        whole = sampler.collect(900, seed=8, backend="sequential")
-        chunked = sampler.collect(900, seed=8, backend="sequential",
-                                  batch_size=256)
-        assert (chunked.values, chunked.bits) == (whole.values, whole.bits)
-
-    @pytest.mark.parametrize("backend", ["python", pytest.param(
-        "numpy", marks=requires_numpy)])
     def test_engine_fail_survives(self, backend):
         command = Seq(flip("b", Fraction(1, 2)), Observe(Var("b")))
         table = BatchSampler.from_command(command).table
@@ -281,7 +255,7 @@ class TestWithoutNumpy:
         sampler = BatchSampler.from_command(n_sided_die(6))
         extract = lambda s: s["x"]  # noqa: E731
         samples = sampler.collect(3000, seed=2, extract=extract,
-                                  backend="python", batch_size=1000)
+                                  backend="python")
         assert isinstance(samples._leaves, array)
         _assert_plain_lists(samples)
         pmf = uniform_pmf(6, start=1)
