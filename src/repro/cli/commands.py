@@ -241,7 +241,11 @@ def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
                   frz["calls"] - frz["calls_unkeyed"], frz["calls"],
                   frz["memo_keyed"], frz["memo_entries"],
               ), file=out)
-    from repro.engine.native import kernel_status
+    from repro.engine.native import (
+        kernel_status,
+        kernel_store,
+        native_available,
+    )
 
     # Kernel-cache state for the generated-C backend, mirroring the
     # ``cacheable:`` line: resolving it here actually builds (or hits)
@@ -254,10 +258,14 @@ def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
         memo.get("hits", 0), memo.get("misses", 0),
         memo.get("capacity", 0),
     ), file=out)
-    print("  artifacts:     %d memory + %d disk hits, %d stored%s" % (
+    kernels = kernel_store().stats() if native_available() else {}
+    print("  artifacts:     %d memory + %d disk hits, %d stored%s; corrupt: "
+          "%d compile, %d kernel; store failures: %d compile, %d kernel" % (
         artifacts["memory_hits"], artifacts["disk_hits"],
         artifacts["stores"],
         ", disk %s" % artifacts["disk_dir"] if artifacts["disk_dir"] else "",
+        artifacts["disk_corrupt"], kernels.get("corrupt", 0),
+        artifacts["disk_store_failures"], kernels.get("store_failures", 0),
     ), file=out)
     _print_engine_selection(prog, out)
 

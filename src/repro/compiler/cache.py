@@ -9,9 +9,11 @@ initial state, and every compilation option that affects the output
   calls, harness rows, and MCMC replays in one process reuse the same
   node table (which also means JIT loop expansions accumulate instead of
   being redone);
-- an optional **on-disk store** (one pickle per digest) so separate
-  processes -- CLI invocations, CI runs, benchmark sweeps -- skip
-  compilation entirely.  Closed tables spill as plain row arrays; *open*
+- an optional **on-disk store** (one verified :class:`repro.store.Store`
+  entry per digest) so separate processes -- CLI invocations, CI runs,
+  benchmark sweeps -- skip compilation entirely.  The body is
+  ``marshal.dumps(CompiledProgram.disk_payload())``; ``marshal.loads``
+  runs no Python code.  Closed tables spill as plain row arrays; *open*
   tables (warm loop-state spaces mid-expansion) spill through
   :mod:`repro.engine.freeze`, which replaces every ``Fix`` closure by
   its content-digest triple and rebinds fresh closures on load, so even
@@ -24,18 +26,13 @@ containing :class:`~repro.lang.expr.Opaque` expressions are
 :class:`~repro.compiler.digest.Undigestable` and bypass both layers.
 """
 
+import marshal
 import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.cftree.cache import env_int
-from repro.compiler.digest import DIGEST_VERSION
-
-#: Bump to invalidate on-disk artifacts when the table encoding changes.
-#: 2: open tables spill as content-digest triples (repro.engine.freeze).
-_DISK_FORMAT = 2
+from repro.store import Store
 
 
 class CompilationCache:
@@ -51,13 +48,12 @@ class CompilationCache:
             disk_dir = os.environ.get("ZAR_COMPILE_CACHE_DIR") or None
         self.capacity = capacity
         self.disk_dir = disk_dir
+        self._store = Store(disk_dir) if disk_dir else None
         self._entries: "OrderedDict[str, object]" = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
-        self.disk_stores = 0
-        self.disk_corrupt = 0
 
     # -- in-memory tier --------------------------------------------------
 
@@ -89,92 +85,56 @@ class CompilationCache:
 
     # -- disk tier -------------------------------------------------------
 
-    def _disk_path(self, digest: str) -> str:
-        return os.path.join(self.disk_dir, digest + ".zarc")
-
     def _disk_store(self, digest: str, program) -> None:
-        if not self.disk_dir:
-            return
-        payload = program.disk_payload()
-        if payload is None:  # open table: not serializable
+        if self._store is None:
             return
         try:
-            os.makedirs(self.disk_dir, exist_ok=True)
-            record = {
-                "format": _DISK_FORMAT,
-                "digest_version": DIGEST_VERSION,
-                "payload": payload,
-            }
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(record, handle, protocol=4)
-                os.replace(tmp, self._disk_path(digest))
-            except BaseException:
-                os.unlink(tmp)
-                raise
-            self.disk_stores += 1
-        except (OSError, pickle.PicklingError, TypeError, AttributeError):
-            pass  # a cold disk cache is always acceptable
+            payload = program.disk_payload()
+            if payload is None:  # open table that cannot freeze
+                return
+            body = marshal.dumps(payload)
+        except ValueError:  # a value freeze or marshal cannot encode
+            self._store.store_failures += 1
+            return
+        self._store.put(digest + ".zarc", body)
 
     def _disk_load(self, digest: str):
-        if not self.disk_dir:
+        if self._store is None:
             return None
-        path = self._disk_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                record = pickle.load(handle)
-        except OSError:
-            return None
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, KeyError, TypeError, ValueError):
-            return self._drop_corrupt(path)
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != _DISK_FORMAT
-            or record.get("digest_version") != DIGEST_VERSION
-        ):
+        key = digest + ".zarc"
+        body = self._store.get(key)
+        if body is None:
             return None
         from repro.compiler.pipeline import CompiledProgram
 
         try:
-            return CompiledProgram.from_disk_payload(record["payload"])
-        except (KeyError, TypeError, ValueError):
-            return self._drop_corrupt(path)
-
-    def _drop_corrupt(self, path: str) -> None:
-        """Unlink an entry that does not load; the caller recompiles
-        (and stores a fresh entry) as on any miss."""
-        self.disk_corrupt += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+            return CompiledProgram.from_disk_payload(marshal.loads(body))
+        except (EOFError, IndexError, KeyError, TypeError, ValueError):
+            # Verified bytes that do not decode (another marshal
+            # version, say): drop and rebuild as on any corrupt entry.
+            self._store.drop(key)
+            return None
 
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
+        disk = self._store.stats() if self._store else {}
         return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "stores": self.stores,
-            "disk_stores": self.disk_stores,
-            "disk_corrupt": self.disk_corrupt,
+            "disk_stores": disk.get("stores", 0),
+            "disk_corrupt": disk.get("corrupt", 0),
+            "disk_store_failures": disk.get("store_failures", 0),
             "entries": len(self._entries),
             "capacity": self.capacity,
             "disk_dir": self.disk_dir,
         }
 
-    def clear(self, disk: bool = False) -> None:
+    def clear(self) -> None:
+        """Empty the memory tier; the disk store is left as it is."""
         self._entries.clear()
-        if disk and self.disk_dir and os.path.isdir(self.disk_dir):
-            for name in os.listdir(self.disk_dir):
-                if name.endswith(".zarc"):
-                    try:
-                        os.unlink(os.path.join(self.disk_dir, name))
-                    except OSError:
-                        pass
 
     def __len__(self) -> int:
         return len(self._entries)

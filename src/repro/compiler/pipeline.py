@@ -138,15 +138,18 @@ class CompiledProgram:
     # -- disk round-trip -------------------------------------------------
 
     def disk_payload(self) -> Optional[dict]:
-        """A picklable record, or None when the table is unspillable.
+        """A marshal-safe record, or None when the table is unspillable.
 
         Closed tables serialize as plain row arrays.  *Open* tables --
         warm loop-state spaces mid-expansion -- freeze through
         :mod:`repro.engine.freeze`: rows plus every keyed memo entry,
-        pending stub, and call record as content-digest triples.
-        Unpicklable payload values (exotic leaf objects) are caught by
-        the cache's store path, which discards the artifact.
+        pending stub, and call record as content-digest triples.  Payload
+        values go through freeze's tagged value encoding either way;
+        one it cannot encode raises ``FreezeUnsupported`` (a
+        ``ValueError``), which the cache counts as a store failure.
         """
+        from repro.engine.freeze import encode_value, freeze_table
+
         table = self.table
         common = {
             "digest": self.digest,
@@ -155,8 +158,6 @@ class CompiledProgram:
             "stats": self.stats,
         }
         if table.pending_stubs or table.calls:
-            from repro.engine.freeze import freeze_table
-
             frozen = freeze_table(table)
             if frozen is None:
                 return None
@@ -169,7 +170,7 @@ class CompiledProgram:
                 "a": list(table.a),
                 "b": list(table.b),
                 "payload": list(table.payload),
-                "payloads": list(table.payloads),
+                "payloads": [encode_value(v) for v in table.payloads],
                 "root": table.root,
             }
         )
@@ -177,9 +178,9 @@ class CompiledProgram:
 
     @classmethod
     def from_disk_payload(cls, payload: dict) -> "CompiledProgram":
-        if "open" in payload:
-            from repro.engine.freeze import thaw_table
+        from repro.engine.freeze import decode_value, thaw_table
 
+        if "open" in payload:
             table = thaw_table(payload["open"])
         else:
             table = NodeTable(payload["max_nodes"])
@@ -187,7 +188,7 @@ class CompiledProgram:
             table.a = list(payload["a"])
             table.b = list(payload["b"])
             table.payload = list(payload["payload"])
-            table.payloads = list(payload["payloads"])
+            table.payloads = [decode_value(v) for v in payload["payloads"]]
             table.root = payload["root"]
             table.version = 1
         stats = dict(payload.get("stats") or {})

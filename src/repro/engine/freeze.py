@@ -2,10 +2,10 @@
 
 A warm open table is the expensive artifact of this engine: tens of
 seconds of JIT loop expansion distilled into rows plus the memo that
-keeps back-edges closed.  Closed tables have always round-tripped
-through the compilation cache's disk tier; open tables could not,
-because pending stubs and call records hold ``Fix`` closures, which have
-no meaningful pickle.
+keeps back-edges closed.  Closed tables round-trip through the
+compilation cache's disk tier as row arrays; open tables need more,
+because pending stubs and call records hold ``Fix`` closures, which
+have no serialized form.
 
 The content-key discipline (:mod:`repro.cftree.keys`) removes that
 obstruction.  Every loop entry is memoized under a
@@ -79,8 +79,9 @@ def token_serializable(token) -> bool:
 #
 # Payloads, memo states, and call frames hold States, sentinel values,
 # and plain scalars.  The LOOPBACK sentinel is an ``is``-compared
-# singleton, so it cannot go through pickle structurally; everything is
-# wrapped in a small tagged encoding instead.
+# singleton and States and Fractions are classes marshal does not know,
+# so everything is wrapped in a small tagged encoding of tuples, strings
+# and integers instead (closed-table payloads use it too).
 
 
 class FreezeUnsupported(ValueError):
@@ -176,7 +177,7 @@ def freeze_report(table: NodeTable) -> Dict[str, object]:
 def freeze_table(
     table: NodeTable, expand_budget: int = EXPAND_BUDGET_DEFAULT
 ) -> Optional[dict]:
-    """An open table as a picklable record, or ``None`` if unspillable.
+    """An open table as a marshal-safe record, or ``None`` if unspillable.
 
     Mutates the table only by *expanding* identity-keyed pendings (extra
     rows, never changed semantics).  Refuses -- returning ``None`` --

@@ -36,6 +36,7 @@ from repro.engine.native.kernel import (
     compiler_invocations,
     find_compiler,
     kernel_cache_dir,
+    kernel_store,
     native_available,
     reset_kernel_runtime,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "find_compiler",
     "kernel_cache_dir",
     "kernel_for",
+    "kernel_store",
     "kernel_status",
     "native_available",
     "render_c",

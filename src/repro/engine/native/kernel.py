@@ -14,18 +14,19 @@ Cache key anatomy -- three independent invalidation axes:
   already folds in ``CODEGEN_VERSION``.  The ``.c`` source is stored as
   ``zk-<digest>.c`` (kept for inspection; CI uploads it);
 - the **compiler fingerprint** (hash of the resolved compiler path and
-  its ``--version`` banner), appended to the shared-object name
+  its ``--version`` banner), appended to the shared-object entry name
   ``zk-<digest>-<fingerprint>.so`` so a toolchain upgrade recompiles
   instead of loading ABI-stale objects;
 - a **load-time self-check**: every object exports ``zar_digest()`` /
-  ``zar_codegen_version()``, verified after ``dlopen``.  A corrupted or
-  truncated cache entry fails the check (or the ``dlopen`` itself), is
-  unlinked, and is recompiled from source -- never executed.
+  ``zar_codegen_version()``, verified after ``dlopen``.
 
-Loading prefers cffi in ABI mode (``FFI().dlopen``); plain
-:mod:`ctypes` is the zero-dependency fallback (``ZAR_NATIVE_FORCE_CTYPES``
-pins it for tests).  ``native_available()`` is the cheap gate the
-engine seams consult: it requires a C compiler on ``PATH`` (or
+Objects live in a :class:`repro.store.Store`, which verifies each
+entry's key and SHA-256 before anything is loaded.  An entry that fails
+that check or the self-check is unlinked, counted as ``corrupt`` in
+:func:`kernel_store`'s stats, and recompiled -- never executed.
+
+Loading uses :mod:`ctypes`.  ``native_available()`` is the cheap gate
+the engine seams consult: it requires a C compiler on ``PATH`` (or
 ``ZAR_NATIVE_CC``) and ``ZAR_NATIVE_DISABLE`` unset.
 """
 
@@ -44,6 +45,7 @@ from repro.engine.native.codegen import (
     encoded_digest,
     render_c,
 )
+from repro.store import Store, atomic_write
 
 __all__ = [
     "COMPILE_TIMEOUT",
@@ -55,22 +57,12 @@ __all__ = [
     "compiler_invocations",
     "find_compiler",
     "kernel_cache_dir",
+    "kernel_store",
     "native_available",
     "reset_kernel_runtime",
 ]
 
 COMPILE_TIMEOUT = 120  # seconds; a table-walk TU compiles in well under
-
-_CDEF = """
-const char *zar_digest(void);
-int32_t zar_codegen_version(void);
-int64_t zar_rows(void);
-int64_t zar_collect(const unsigned char *bits, int64_t total_bits,
-                    int64_t done, int64_t n,
-                    int64_t *out_idx, int64_t *out_bits,
-                    int64_t *state, const int32_t *payload_map,
-                    int32_t tied);
-"""
 
 
 class KernelCompileError(RuntimeError):
@@ -85,9 +77,12 @@ class KernelCacheError(RuntimeError):
 
 #: digest -> loaded NativeKernel: the in-process (memory) cache tier.
 _MEMORY: Dict[str, "NativeKernel"] = {}
+#: directory -> its Store, so the store counters persist per process.
+_STORES: Dict[str, Store] = {}
 _FINGERPRINT: Optional[str] = None
 _TMP_DIR: Optional[str] = None
-#: Private snapshot dir for dlopen (see :func:`_load_validated`).
+#: Private dir of compiler outputs and load snapshots (see
+#: :func:`_private_object`).
 _LOAD_DIR: Optional[str] = None
 #: How many times this process ran the C compiler (tests assert on it).
 _INVOCATIONS = 0
@@ -106,6 +101,7 @@ def reset_kernel_runtime() -> None:
     """
     global _FINGERPRINT, _TMP_DIR, _LOAD_DIR
     _MEMORY.clear()
+    _STORES.clear()
     _FINGERPRINT = None
     _TMP_DIR = None
     _LOAD_DIR = None
@@ -171,60 +167,65 @@ def kernel_cache_dir() -> str:
     return _TMP_DIR
 
 
+def kernel_store(cache_dir: Optional[str] = None) -> Store:
+    """The :class:`~repro.store.Store` over ``cache_dir`` (default:
+    :func:`kernel_cache_dir`), one per directory per process."""
+    directory = cache_dir if cache_dir is not None else kernel_cache_dir()
+    return _STORES.setdefault(directory, Store(directory))
+
+
 # -- loading -------------------------------------------------------------
 
-def _force_ctypes() -> bool:
-    return bool(os.environ.get("ZAR_NATIVE_FORCE_CTYPES"))
+class NativeKernel:
+    """A validated, loaded kernel for one table digest.
 
+    The ctypes binding: buffers are passed by address, so callers keep
+    them alive for the duration of :meth:`collect_call`.
+    """
 
-class _CffiBinding:
-    """cffi ABI-mode binding (no compilation at bind time)."""
+    def __init__(self, lib, digest: str, payloads: int):
+        self._lib = lib
+        self.digest = digest
+        self.payloads = payloads
+        self.rows = int(lib.zar_rows())
 
-    name = "cffi"
-
-    def __init__(self, path: str):
-        from cffi import FFI
-
-        self._ffi = FFI()
-        self._ffi.cdef(_CDEF)
-        self._lib = self._ffi.dlopen(path)
-
-    def digest(self) -> str:
-        return self._ffi.string(self._lib.zar_digest()).decode()
-
-    def codegen_version(self) -> int:
-        return int(self._lib.zar_codegen_version())
-
-    def rows(self) -> int:
-        return int(self._lib.zar_rows())
-
-    def collect(self, bits: bytes, total_bits: int, done: int, n: int,
-                out_idx, out_bits, state, payload_map, tied: int) -> int:
-        ffi = self._ffi
+    def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
+                     out_idx, out_bits, state, payload_map,
+                     tied: bool) -> int:
         return int(
             self._lib.zar_collect(
-                ffi.cast("const unsigned char *", ffi.from_buffer(bits)),
-                total_bits,
-                done,
-                n,
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(out_idx, require_writable=True)),
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(out_bits, require_writable=True)),
-                ffi.cast("int64_t *",
-                         ffi.from_buffer(state, require_writable=True)),
-                ffi.cast("const int32_t *", ffi.from_buffer(payload_map)),
-                tied,
+                bits, total_bits, done, n,
+                out_idx.buffer_info()[0],
+                out_bits.buffer_info()[0],
+                state.buffer_info()[0],
+                payload_map.buffer_info()[0],
+                1 if tied else 0,
             )
         )
 
 
-class _CtypesBinding:
-    """Plain ctypes fallback; buffers passed by address."""
+def _private_object(body: bytes = b"") -> str:
+    """A fresh file holding ``body`` in this process's load directory.
 
-    name = "ctypes"
+    dlopen dedupes by (device, inode): loading a shared store path
+    directly would return a *stale* handle if the entry was overwritten
+    in place while mapped -- validation would then inspect the old
+    object, and a truncating writer would leave running kernels one
+    page access away from SIGBUS.  A private file gives every load a
+    fresh inode and insulates loaded code from later store corruption.
+    """
+    global _LOAD_DIR
+    if _LOAD_DIR is None:
+        _LOAD_DIR = tempfile.mkdtemp(prefix="zar-kernel-load-")
+    fd, path = tempfile.mkstemp(dir=_LOAD_DIR, suffix=".so")
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(body)
+    return path
 
-    def __init__(self, path: str):
+
+def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
+    """dlopen + self-check; any failure is a :class:`KernelCacheError`."""
+    try:
         lib = ctypes.CDLL(path)
         lib.zar_digest.restype = ctypes.c_char_p
         lib.zar_digest.argtypes = []
@@ -238,85 +239,8 @@ class _CtypesBinding:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_int32,
         ]
-        self._lib = lib
-
-    def digest(self) -> str:
-        return self._lib.zar_digest().decode()
-
-    def codegen_version(self) -> int:
-        return int(self._lib.zar_codegen_version())
-
-    def rows(self) -> int:
-        return int(self._lib.zar_rows())
-
-    def collect(self, bits: bytes, total_bits: int, done: int, n: int,
-                out_idx, out_bits, state, payload_map, tied: int) -> int:
-        return int(
-            self._lib.zar_collect(
-                bits, total_bits, done, n,
-                out_idx.buffer_info()[0],
-                out_bits.buffer_info()[0],
-                state.buffer_info()[0],
-                payload_map.buffer_info()[0],
-                tied,
-            )
-        )
-
-
-def _bind(path: str):
-    if not _force_ctypes():
-        try:
-            from cffi import FFI  # noqa: F401  (probe only)
-        except ImportError:
-            pass
-        else:
-            return _CffiBinding(path)
-    return _CtypesBinding(path)
-
-
-class NativeKernel:
-    """A validated, loaded kernel for one table digest."""
-
-    def __init__(self, binding, digest: str, payloads: int):
-        self.binding = binding
-        self.digest = digest
-        self.payloads = payloads
-        self.rows = binding.rows()
-
-    def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
-                     out_idx, out_bits, state, payload_map,
-                     tied: bool) -> int:
-        return self.binding.collect(
-            bits, total_bits, done, n, out_idx, out_bits, state,
-            payload_map, 1 if tied else 0,
-        )
-
-
-def _snapshot_for_load(path: str) -> str:
-    """Copy a store ``.so`` to a private per-load file before dlopen.
-
-    dlopen dedupes by (device, inode): loading the shared store path
-    directly would return a *stale* handle if the entry was overwritten
-    in place while mapped -- validation would then inspect the old
-    object, and a truncating writer would leave running kernels one
-    page access away from SIGBUS.  A snapshot gives every load a fresh
-    inode and insulates loaded code from later store corruption.
-    """
-    global _LOAD_DIR
-    if _LOAD_DIR is None:
-        _LOAD_DIR = tempfile.mkdtemp(prefix="zar-kernel-load-")
-    fd, snapshot = tempfile.mkstemp(dir=_LOAD_DIR, suffix=".so")
-    os.close(fd)
-    shutil.copyfile(path, snapshot)
-    return snapshot
-
-
-def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
-    """dlopen + self-check; any failure is a :class:`KernelCacheError`."""
-    try:
-        binding = _bind(_snapshot_for_load(path))
-        found_version = binding.codegen_version()
-        found_digest = binding.digest()
+        found_version = int(lib.zar_codegen_version())
+        found_digest = lib.zar_digest().decode()
     except Exception as err:  # dlopen/symbol errors vary wildly by libc
         raise KernelCacheError("kernel object unloadable: %s" % err)
     if found_version != CODEGEN_VERSION:
@@ -328,55 +252,38 @@ def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
         raise KernelCacheError(
             "kernel digest mismatch (%s != %s)" % (found_digest, digest)
         )
-    return NativeKernel(binding, digest, payloads)
+    return NativeKernel(lib, digest, payloads)
 
 
 # -- compilation ---------------------------------------------------------
 
-def _write_source(c_path: str, source: str) -> None:
-    directory = os.path.dirname(c_path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".c.tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(source)
-        os.replace(tmp, c_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _compile(c_path: str, so_path: str) -> None:
-    """Run the C compiler; atomic rename so readers never see a torn .so."""
+def _compile(c_path: str) -> str:
+    """Run the C compiler; returns the object's path in the load dir."""
     global _INVOCATIONS
     cc = find_compiler()
     if cc is None:
         raise KernelCompileError("no C compiler on PATH (set ZAR_NATIVE_CC)")
-    directory = os.path.dirname(so_path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".so.tmp")
-    os.close(fd)
+    so_path = _private_object()
     _INVOCATIONS += 1
     try:
         # -funroll-loops roughly halves the walk time over plain -O2:
         # the unrolled inner loop pipelines the byte loads across bits.
         proc = subprocess.run(
-            [cc, "-O2", "-funroll-loops", "-fPIC", "-shared", "-o", tmp,
+            [cc, "-O2", "-funroll-loops", "-fPIC", "-shared", "-o", so_path,
              c_path],
             capture_output=True,
             timeout=COMPILE_TIMEOUT,
         )
     except (OSError, subprocess.SubprocessError) as err:
-        os.unlink(tmp)
+        os.unlink(so_path)
         raise KernelCompileError("compiler failed to run: %s" % err)
     if proc.returncode != 0:
-        os.unlink(tmp)
+        os.unlink(so_path)
         tail = proc.stderr.decode("utf-8", "replace").strip()[-400:]
         raise KernelCompileError(
             "%s exited %d: %s" % (cc, proc.returncode, tail)
         )
-    os.replace(tmp, so_path)
+    return so_path
 
 
 def build_kernel(
@@ -391,11 +298,10 @@ def build_kernel(
     :class:`KernelCompileError` when the toolchain is unusable.
     """
     digest = encoded_digest(encoded)
-    directory = cache_dir if cache_dir is not None else kernel_cache_dir()
-    c_path = os.path.join(directory, "zk-%s.c" % digest)
-    so_path = os.path.join(
-        directory, "zk-%s-%s.so" % (digest, compiler_fingerprint())
-    )
+    store = kernel_store(cache_dir)
+    c_path = store.path("zk-%s.c" % digest)
+    key = "zk-%s-%s.so" % (digest, compiler_fingerprint())
+    payloads = len(encoded.payload_map)
     info: Dict[str, object] = {
         "digest": digest,
         "rows": len(encoded.a),
@@ -423,16 +329,15 @@ def build_kernel(
                     % (code, low, rows)
                 )
 
-    if os.path.exists(so_path):
+    body = store.get(key)
+    if body is not None:
         try:
-            kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+            kernel = _load_validated(_private_object(body), digest, payloads)
         except KernelCacheError:
-            # Corrupt/stale entry: drop it and fall through to a fresh
-            # compile -- never execute a kernel that failed validation.
-            try:
-                os.unlink(so_path)
-            except OSError:
-                pass
+            # Verified bytes that fail the self-check: drop the entry
+            # and fall through to a fresh compile -- never execute a
+            # kernel that failed validation.
+            store.drop(key)
         else:
             info["tier"] = "disk"
             _MEMORY[digest] = kernel
@@ -440,9 +345,11 @@ def build_kernel(
 
     source = render_c(encoded, digest)
     start = time.perf_counter()
-    _write_source(c_path, source)
-    _compile(c_path, so_path)
-    kernel = _load_validated(so_path, digest, len(encoded.payload_map))
+    atomic_write(c_path, source.encode())
+    so_path = _compile(c_path)
+    kernel = _load_validated(so_path, digest, payloads)
+    with open(so_path, "rb") as handle:
+        store.put(key, handle.read())
     info["tier"] = "compiled"
     info["compile_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     _MEMORY[digest] = kernel

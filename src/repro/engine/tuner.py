@@ -29,7 +29,6 @@ deterministic and bit-for-bit stable for the differential tests.
 import json
 import os
 import random
-import tempfile
 from typing import Dict, List, Optional
 
 from repro.engine.profile import (
@@ -39,6 +38,7 @@ from repro.engine.profile import (
     feature_bucket,
     static_profile,
 )
+from repro.store import atomic_write
 
 __all__ = [
     "EngineTuner",
@@ -232,16 +232,9 @@ class EngineTuner:
             return False
         payload = {"version": STATE_VERSION, "buckets": self.state}
         try:
-            directory = os.path.dirname(self.path) or "."
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                os.replace(tmp, self.path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            atomic_write(
+                self.path, json.dumps(payload, sort_keys=True).encode()
+            )
         except OSError:
             return False
         self.saves += 1

@@ -1,7 +1,9 @@
 """Tests for content digests and the compilation cache (repro.compiler).
 
 Covers digest stability/sensitivity, the in-memory LRU tier, the
-on-disk tier (round trip, corruption tolerance, format gating), and the
+on-disk tier (round trip, verify-before-decode: corruption, crafted
+pickles, renamed entries and stale headers are counted misses; counted
+store failures), and the
 configurable bounds + hit/miss counters of both the artifact cache and
 the cftree memo caches (ISSUE 5 satellites).
 """
@@ -23,8 +25,19 @@ from repro.lang.expr import Opaque, Var
 from repro.lang.state import State
 from repro.lang.sugar import dueling_coins, n_sided_die
 from repro.lang.syntax import Assign, Choice, Seq, Skip
+from repro.store import Store
 
 S0 = State()
+
+
+class _OpensMarker:
+    """Unpickling this object runs ``open(path, "w")``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestDigest:
@@ -212,24 +225,93 @@ class TestDiskCache:
         again, _ = self._pipeline(tmp_path)
         assert again.compile(command).source == "disk"
 
-    def test_stale_format_is_a_miss(self, tmp_path):
+    def test_stale_format_is_a_miss(self, tmp_path, monkeypatch):
+        # An entry whose header carries another format tag (as an older
+        # store would have written it) is dropped and rebuilt.
         command = n_sided_die(6)
         pipeline, cache = self._pipeline(tmp_path)
-        pipeline.compile(command)
-        (artifact,) = list(tmp_path.iterdir())
-        record = pickle.loads(artifact.read_bytes())
-        record["format"] = -1
-        artifact.write_bytes(pickle.dumps(record))
-        fresh, _ = self._pipeline(tmp_path)
+        built = pipeline.compile(command)
+        store, key = Store(str(tmp_path)), built.digest + ".zarc"
+        body = store.get(key)
+        monkeypatch.setattr("repro.store.MAGIC", b"zar-store-0")
+        assert store.put(key, body)
+        monkeypatch.undo()
+        fresh, fresh_cache = self._pipeline(tmp_path)
         assert fresh.compile(command).source == "built"
+        assert fresh_cache.stats()["disk_corrupt"] == 1
 
-    def test_clear_disk(self, tmp_path):
+    def test_crafted_pickle_never_runs(self, tmp_path):
+        # A .zarc whose bytes are a pickle that opens a file when
+        # loaded: the store rejects the header before decoding anything.
+        pipeline, _ = self._pipeline(tmp_path)
+        built = pipeline.compile(n_sided_die(6))
+        artifact = tmp_path / (built.digest + ".zarc")
+        marker = tmp_path.parent / (tmp_path.name + "-marker")
+        artifact.write_bytes(pickle.dumps(_OpensMarker(str(marker))))
+        fresh_cache = CompilationCache(capacity=8, disk_dir=str(tmp_path))
+        assert fresh_cache.get(built.digest) is None
+        assert not marker.exists()
+        assert fresh_cache.stats()["disk_corrupt"] == 1
+        assert not artifact.exists()
+
+    def test_bit_flip_sweep_is_always_a_counted_miss(self, tmp_path):
+        # One flipped bit at each of 302 evenly spaced bytes (header and
+        # body alike), one flip per load: never a hit, never a raise.
+        pipeline, _ = self._pipeline(tmp_path)
+        built = pipeline.compile(n_sided_die(200))
+        artifact = tmp_path / (built.digest + ".zarc")
+        good = artifact.read_bytes()
+        positions = sorted({i * (len(good) - 1) // 301 for i in range(302)})
+        assert len(positions) == 302
+        cache = CompilationCache(capacity=8, disk_dir=str(tmp_path))
+        for count, position in enumerate(positions, 1):
+            flipped = bytearray(good)
+            flipped[position] ^= 0x04
+            artifact.write_bytes(bytes(flipped))
+            assert cache.get(built.digest) is None
+            assert not artifact.exists()
+            assert cache.stats()["disk_corrupt"] == count
+        assert cache.stats()["disk_hits"] == 0
+
+    def test_entry_under_another_digest_is_dropped(self, tmp_path):
+        # die(6)'s entry copied under die(8)'s name: the header names
+        # the key, so the copy is dropped instead of serving die(6).
+        pipeline, _ = self._pipeline(tmp_path)
+        die6 = pipeline.compile(n_sided_die(6))
+        die8 = pipeline.compile(n_sided_die(8))
+        (tmp_path / (die8.digest + ".zarc")).write_bytes(
+            (tmp_path / (die6.digest + ".zarc")).read_bytes()
+        )
+        fresh, fresh_cache = self._pipeline(tmp_path)
+        program = fresh.compile(n_sided_die(8))
+        assert program.source == "built"
+        assert fresh_cache.stats()["disk_corrupt"] == 1
+        assert program.table.payloads == die8.table.payloads
+
+    def test_failed_writes_are_counted(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_bytes(b"")
+        cache = CompilationCache(capacity=8, disk_dir=str(blocker))
+        program = Pipeline(cache=cache).compile(n_sided_die(6))
+        assert program.source == "built"
+        stats = cache.stats()
+        assert (stats["disk_store_failures"], stats["disk_stores"]) == (1, 0)
+
+        class Unmarshallable:
+            def disk_payload(self):
+                return {"payload": object()}
+
+        cache = CompilationCache(capacity=8, disk_dir=str(tmp_path / "d"))
+        cache.put("k", Unmarshallable())
+        assert cache.stats()["disk_store_failures"] == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_clear_keeps_disk_store(self, tmp_path):
         pipeline, cache = self._pipeline(tmp_path)
-        pipeline.compile(n_sided_die(6))
-        assert list(tmp_path.iterdir())
-        cache.clear(disk=True)
-        assert list(tmp_path.iterdir()) == []
+        program = pipeline.compile(n_sided_die(6))
+        cache.clear()
         assert len(cache) == 0
+        assert cache.get(program.digest).source == "disk"
 
 
 class TestBoundedCacheConfig:

@@ -47,6 +47,7 @@ from repro.engine.native import (
     encoded_digest,
     kernel_for,
     kernel_status,
+    kernel_store,
     native_available,
     reset_kernel_runtime,
 )
@@ -74,7 +75,7 @@ requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
 
 @pytest.fixture(autouse=True)
 def _isolate_runtime():
-    """Tests mutate the kernel runtime (cache dirs, forced bindings);
+    """Tests mutate the kernel runtime (cache dirs, memory tier);
     reset it afterwards so no test sees another's memory tier."""
     yield
     reset_kernel_runtime()
@@ -284,6 +285,7 @@ class TestKernelCache:
         assert kernel2 is not None, reason
         assert info2["tier"] == "compiled"
         assert compiler_invocations() == before + 1
+        assert kernel_store().stats()["corrupt"] == 1
         assert collect_kernel(kernel2, 300, seed=4) == want
 
     def test_stale_digest_entry_recompiles(self, tmp_path):
@@ -296,41 +298,25 @@ class TestKernelCache:
         assert d6 != d8
         cache = str(tmp_path)
         kernel6, info6 = build_kernel(enc6, cache_dir=cache)
-        # Masquerade die6's object under die8's key.
+        # Masquerade die6's object under die8's key with a valid store
+        # header, so only the dlopen self-check can catch it.
+        store = kernel_store(cache)
         so6 = [p for p in os.listdir(cache) if p.endswith(".so")][0]
-        bogus = os.path.join(cache, so6.replace(d6, d8))
-        with open(os.path.join(cache, so6), "rb") as src:
-            payload = src.read()
-        with open(bogus, "wb") as dst:
-            dst.write(payload)
+        assert store.put(so6.replace(d6, d8), store.get(so6))
         reset_kernel_runtime()
         before = compiler_invocations()
         kernel8, info8 = build_kernel(enc8, cache_dir=cache)
         assert info8["tier"] == "compiled"
         assert compiler_invocations() == before + 1
         assert kernel8.digest == d8
-
-    def test_ctypes_binding_matches_cffi(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
-        command = dueling_coins(Fraction(1, 3))
-        reset_kernel_runtime()
-        default = _stream(command, 300, 17, "native", lambda s: s["a"])
-
-        monkeypatch.setenv("ZAR_NATIVE_FORCE_CTYPES", "1")
-        reset_kernel_runtime()
-        table = _compile(command).table
-        kernel, reason, _ = kernel_for(table)
-        assert kernel is not None, reason
-        assert kernel.kernel.binding.name == "ctypes"
-        forced = _stream(command, 300, 17, "native", lambda s: s["a"])
-        assert forced == default
+        assert kernel_store(cache).stats()["corrupt"] == 1
 
 
 # -- 4. degraded environments --------------------------------------------
 
 class TestDegraded:
-    """These run (and matter most) on the CI leg where cffi and the C
-    toolchain are absent or disabled: the downgrade must be observable
+    """These run (and matter most) on the CI legs where the C
+    toolchain is absent or disabled: the downgrade must be observable
     and bit-identical, never an error."""
 
     def test_disabled_env_downgrades_bit_identically(self, monkeypatch):
