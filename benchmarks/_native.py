@@ -2,12 +2,13 @@
 
 The acceptance target (ROADMAP / ISSUE 10) is ">= 10x over the numpy
 driver", measured *at the driver level*: :func:`repro.engine.native.
-collect_kernel` against :func:`repro.engine.driver.collect_numpy` plus
-``tolist``, so both sides return the Python lists of the kernel's
-``(indices, bits)`` contract.  Everything above the drivers (payload
-mapping, ``SampleSet`` assembly) is the same work on both sides, so
-the driver-level ratio isolates what the kernel buys; the end-to-end
-``run_row`` rate is recorded separately by the Table 3 bench.
+collect_kernel` against :func:`repro.engine.driver.collect_numpy`, each
+returning its ``(indices, bits)`` columns as ``SampleSet`` assembly
+takes them (``array('q')`` and ``int64`` arrays, neither copied to a
+list).  Everything above the drivers (payload mapping, ``SampleSet``
+assembly) is the same work on both sides, so the driver-level ratio
+isolates what the walker buys; the end-to-end ``run_row`` rate is
+recorded separately by the Table 3 bench.
 
 The gate is the **geometric mean across a bench's rows**, not a
 per-row floor: the tiny n=6 die is dominated by per-call fixed costs
@@ -37,11 +38,10 @@ def measure_native_rows(cases, seed=17):
     """Time native vs numpy per case; returns ``(rows, geomean)``.
 
     ``cases`` is ``[(param_label, command, weight)]``.  Each case is
-    compiled with the default batch profile knobs, resolved to a
-    kernel (a case the resolver refuses fails the bench loudly -- the
-    speedup suite only runs on closed tables), spot-checked bit-for-bit
-    against the pooled Python driver, then timed median-of-reps on both
-    sides at the bench's sample count.
+    compiled with the default batch profile knobs, resolved to the
+    walker (a case the resolver refuses fails the bench loudly),
+    spot-checked bit-for-bit against the pooled Python driver, then
+    timed median-of-reps on both sides at the bench's sample count.
     """
     from repro.compiler.pipeline import compile_program
     from repro.engine.driver import collect_numpy, collect_python
@@ -61,11 +61,12 @@ def measure_native_rows(cases, seed=17):
         bound, reason, info = kernel_for(program.table)
         assert bound is not None, "%s: native refused: %s" % (param, reason)
 
-        # Warm both sides (kernel compile, numpy lane buffers) and pin
-        # the contract: the kernel's (indices, bits) stream is exactly
-        # the pooled Python driver's.
+        # Warm both sides (walker load, numpy lane buffers) and pin the
+        # contract: the walker's (indices, bits) stream is exactly the
+        # pooled Python driver's.
         spot = min(count, 256)
-        assert collect_kernel(bound, spot, seed=seed) == collect_python(
+        indices, bits = collect_kernel(bound, spot, seed=seed)
+        assert (indices.tolist(), bits.tolist()) == collect_python(
             program.table, spot, BitPool(seed)
         ), "%s: native stream diverged from the pooled reference" % param
         collect_numpy(program.table, spot, seed=seed)
@@ -74,10 +75,7 @@ def measure_native_rows(cases, seed=17):
             lambda: collect_kernel(bound, count, seed=seed)
         )
         numpy_seconds = _median_seconds(
-            lambda: [
-                arr.tolist()
-                for arr in collect_numpy(program.table, count, seed=seed)
-            ]
+            lambda: collect_numpy(program.table, count, seed=seed)
         )
         speedup = numpy_seconds / native_seconds
         product *= speedup

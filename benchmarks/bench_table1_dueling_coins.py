@@ -72,7 +72,7 @@ def test_table1_row(benchmark, p, weight, paper_bits):
 def test_table1_native_speedup(benchmark):
     """Native-backend bar on Table 1's rejection-heavy programs: >= 10x
     geometric mean over the numpy driver at the driver level.  The
-    dueling-coins rows are where the kernel shines brightest -- deep
+    dueling-coins rows are where the walker shines brightest -- deep
     tied-restart loops spend everything in the walk itself -- so this
     bench complements Table 3's fixed-cost-bound small die.  Results
     merge into ``BENCH_engine.json`` (gated by

@@ -126,7 +126,7 @@ def test_table3_engine_speedup(benchmark):
 
 def test_table3_native_speedup(benchmark):
     """The native-backend acceptance bar on Table 3's programs: the
-    generated C kernel must clear a >= 10x geometric-mean speedup over
+    native walker must clear a >= 10x geometric-mean speedup over
     the numpy driver across the die rows, measured at the driver level
     (see :mod:`benchmarks._native` for why driver level and why the
     geometric mean).  Per-row numbers and the gmean merge into
@@ -187,7 +187,7 @@ def _native_run_row_rate(reps: int = 5) -> dict:
         return run_row(program, "x", "n=6", true_pmf=pmf,
                        n=END_TO_END_SAMPLES, seed=seed, profile=profile)
 
-    call(0)  # compile and load the kernel
+    call(0)  # compile and load the walker
     times = sorted(timed_run(call, seed)[1] for seed in range(1, reps + 1))
     median = times[len(times) // 2]
     return {

@@ -247,9 +247,9 @@ def _print_pipeline_stats(program, sigma, args, out: TextIO) -> None:
         native_available,
     )
 
-    # Kernel-cache state for the generated-C backend, mirroring the
-    # ``cacheable:`` line: resolving it here actually builds (or hits)
-    # the kernel, so the reported compile ms / cache tier is measured,
+    # The native walker's state, mirroring the ``cacheable:`` line:
+    # resolving it here actually encodes the table and builds (or hits)
+    # the walker, so the reported compile ms / cache tier is measured,
     # not guessed.
     print("  native:        %s" % kernel_status(prog.table), file=out)
     memo = stats.get("cftree_cache") or {}

@@ -10,10 +10,11 @@ batches::
 the trampoline-based ``repro.sampler.record.collect`` produces, so the
 harness and benchmarks consume either interchangeably.  Backends:
 
-- ``"native"`` -- a generated C kernel over the pooled bit stream
-  (closed tables only; see :mod:`repro.engine.native`), bit-for-bit
-  identical to ``"sequential"``/``"python"`` on the same seed, with an
-  observable downgrade to ``"python"`` when no kernel can run;
+- ``"native"`` -- the compiled table walker over the pooled bit stream
+  (open tables park at loop stubs and resume; see
+  :mod:`repro.engine.native`), bit-for-bit identical to
+  ``"sequential"``/``"python"`` on the same seed, with an observable
+  downgrade to ``"python"`` when the walker cannot run;
 - ``"numpy"``  -- vectorized lanes (default when numpy is installed);
 - ``"python"`` -- pooled pure-Python batch loop;
 - ``"sequential"`` -- per-sample stepping against an explicit
@@ -22,8 +23,8 @@ harness and benchmarks consume either interchangeably.  Backends:
 
 Engine selection lives in :mod:`repro.engine.profile`: an
 :class:`~repro.engine.profile.EngineProfile` bundles every knob
-(engine, backend, batch size, pass list, coalesce, narrowing, fuel,
-node budget), and :func:`collect_auto` resolves ``engine="auto"``
+(engine, backend, pass list, coalesce, narrowing, fuel, node
+budget), and :func:`collect_auto` resolves ``engine="auto"``
 through the telemetry-backed policy in :mod:`repro.engine.tuner` with
 the old static heuristic as the cold-start prior.
 """
@@ -318,8 +319,9 @@ class BatchSampler:
         #: not run and the pooled Python backend served the request
         #: bit-identically, else ``None``.
         self.native_fallback: Optional[str] = None
-        #: Kernel-cache telemetry from the last native resolution
-        #: (``tier``/``compile_ms``/``digest``), else ``None``.
+        #: Walker telemetry from the last native resolution
+        #: (``tier``/``compile_ms``/``rows``/``parks``),
+        #: else ``None``.
         self.native_info = None
 
     # -- constructors ----------------------------------------------------
@@ -384,7 +386,8 @@ class BatchSampler:
         backend: str,
     ) -> Tuple[Sequence[int], Sequence[int]]:
         """One driver call: payload indices + per-sample bit counts
-        (lists, or the numpy driver's ``int64`` arrays as they are)."""
+        (lists, the walker's ``array('q')`` columns or the numpy
+        driver's ``int64`` arrays, as they are)."""
         if backend == "native":
             indices_bits = self._collect_native(n, seed, fuel)
             if indices_bits is not None:
@@ -416,12 +419,15 @@ class BatchSampler:
 
     def _collect_native(
         self, n: int, seed: Optional[int], fuel: Optional[int]
-    ) -> Optional[Tuple[List[int], List[int]]]:
-        """Try the generated-kernel path; ``None`` means "downgrade".
+    ) -> Optional[Tuple[Sequence[int], Sequence[int]]]:
+        """Try the native walker; ``None`` means "downgrade".
 
         Every refusal is observable: ``native_fallback`` carries a
         ``"native-unavailable: <reason>"`` note and ``native_info`` the
-        kernel-cache telemetry (when a kernel was resolved).
+        walker telemetry (when the walker was resolved).  A refusal
+        met mid-walk (an expansion reached call rows) also downgrades:
+        the stubs the walker expanded are the ones the pooled Python
+        driver expands first, so its rerun is still its exact stream.
         """
         from repro.engine import native as _native
 
@@ -439,7 +445,12 @@ class BatchSampler:
         if kernel is None:
             self.native_fallback = "native-unavailable: %s" % reason
             return None
-        return _native.collect_kernel(kernel, n, seed=seed, tied=self.tied)
+        try:
+            return _native.collect_kernel(kernel, n, seed=seed,
+                                          tied=self.tied)
+        except _native.KernelUnsupported as err:
+            self.native_fallback = "native-unavailable: %s" % err
+            return None
 
     def collect(
         self,

@@ -1,39 +1,43 @@
-"""Lower a closed :class:`~repro.engine.table.NodeTable` to C source.
+"""The native walker's C source and the table encoding it reads.
 
-The generated kernel is a *switch-free* table walk: after jump
-threading, every interior node of a closed table is an ``OP_BIT`` row,
-so the walk is one line of C --
+One C function, ``zar_walk``, serves every program: it walks an
+``int32`` edge array handed over at call time, so no table is ever
+compiled.  Interior rows of a threaded table are all ``OP_BIT`` rows,
+and row ``r``'s two successors sit at ``edges[2*r + bit]`` (``bit = 0``
+is the ``b`` edge), so the inner step is
 
-    i = bit ? ZA[i] : ZB[i];
+    slot = 2*i + bit;  i = edges[slot];
 
--- over two flat ``int32`` arrays.  Terminals are folded into the edge
-codes instead of occupying rows: ``-1`` is observation failure
-(``OP_FAIL``) and ``-(p + 2)`` is the leaf with payload index ``p``, so
-the inner loop needs no opcode dispatch at all.  A tied failure resets
-``i`` to the root *without* resetting the per-sample bit counter --
-exactly the sequential driver's restart semantics.
+with no data-dependent branch on a fair bit.  Everything that is not a
+bit row is folded into the edge code instead of occupying a row:
 
-The encoding is **canonical**: bit rows *and* leaf codes are renumbered
-in discovery order from the (threaded) root, so two tables with the
-same reachable DAG but different physical layouts -- e.g. one built
-fresh and one rehydrated from the artifact store after a different JIT
-expansion history -- produce byte-identical C and hence the same kernel
-digest.  The table's own payload indices (which *are* history-
-dependent) stay out of the digest: the kernel emits them through a
-per-table ``payload_map`` array passed at call time.  That is what lets
-a warm artifact store skip the C compiler entirely.
+- ``>= 0``        -- an encoded bit row;
+- ``-1``          -- observation failure (``OP_FAIL``);
+- ``-2``          -- an unexpanded loop-state stub (``OP_STUB``);
+- ``-(p + 3)``    -- the leaf with payload index ``p``.
 
-What cannot be compiled raises :class:`KernelUnsupported` with the
-reason the caller surfaces through ``CollectResult.fallback_reason``:
-pending stubs (the table is open; expansion needs live Python
-closures), ``OP_CALL`` rows (frame-separated loop returns resolve
-lazily through :meth:`NodeTable.call_return`), bit-free jump cycles
-(the walk would diverge without consuming bits), and a root that
-resolves straight to ``OP_FAIL`` under tied semantics (ditto).
+An edge into a stub makes the walker *park*: it stops with the stub's
+slot (``-1`` for the root) and its in-flight ``(bits used, buffer
+position)`` in the state array and hands control back to Python.
+:meth:`Encoding.resolve` expands the stub through
+:meth:`~repro.engine.table.NodeTable.resolve` -- the expansion the
+Python drivers would do on the same visit, consuming no bits -- appends
+the newly reachable rows, patches every edge into that stub, and the
+walker resumes.  The encoding is therefore **append-only**: a row's
+number never changes, only stub edges are rewritten.
+
+Every code is range-checked before the walker can read it, at the first
+encode and at every patch: a row below the encoded row count, ``FAIL``,
+``STUB``, or a leaf whose payload index exists.  What cannot be walked
+raises :class:`KernelUnsupported` with the reason the caller surfaces
+through ``CollectResult.fallback_reason``: ``OP_CALL`` rows (frame-
+separated loop returns resolve lazily in Python), bit-free jump cycles
+and a root that resolves to ``FAIL`` (the walk would diverge without
+consuming bits).
 """
 
-import hashlib
-from typing import List, NamedTuple
+from array import array
+from typing import Dict, List
 
 from repro.engine.table import (
     NodeTable,
@@ -46,243 +50,235 @@ from repro.engine.table import (
 )
 
 __all__ = [
-    "CODEGEN_VERSION",
-    "EncodedTable",
+    "CODE_FAIL",
+    "CODE_STUB",
+    "Encoding",
     "KernelUnsupported",
-    "encode_table",
-    "encoded_digest",
-    "render_c",
+    "WALKER_SOURCE",
+    "WALKER_VERSION",
 ]
 
-#: Bump whenever the encoding or the C template changes: the version is
-#: part of the kernel digest, so stale cached kernels miss cleanly.
-#: v2: payload codes are canonical (discovery-ordered) and the kernel
-#: takes a per-table payload remap array, making the digest fully
-#: layout-insensitive.
-CODEGEN_VERSION = 2
+#: Bump whenever the edge codes, the state layout or the C source
+#: change: the version is part of the store key and of the load-time
+#: self-check, so a stale cached walker misses cleanly.
+WALKER_VERSION = 1
 
-#: Sentinel for "no sample in flight" in the resumable kernel state.
+CODE_FAIL = -1
+CODE_STUB = -2
+
+#: Park slot of the root (bit-row slots are ``>= 0``).
+ROOT_SLOT = -1
+#: ``state[3]`` when the walker returned without parking.
+NO_PARK = -2
+#: ``state[0]`` when no sample is in flight.
 FRESH_STATE = -(2 ** 63)
 
 
 class KernelUnsupported(ValueError):
-    """The table cannot be lowered to a native kernel (reason in args)."""
+    """The table cannot be walked natively (reason in args)."""
 
 
-class EncodedTable(NamedTuple):
-    """The canonical switch-free encoding of a closed table.
+class Encoding:
+    """The walker's append-only encoding of one table.
 
-    ``a``/``b`` are per-bit-row successor codes (row index when >= 0,
-    ``-1`` for FAIL, ``-(p + 2)`` for the *canonical* leaf code ``p``).
-    Leaf codes are numbered in discovery order too -- the table's own
-    payload indices depend on expansion history, so baking them into
-    the encoding would fork the digest across histories.
-    ``payload_map`` translates canonical code -> this table's payload
-    index; it rides *outside* the digest and is handed to the kernel at
-    call time, so one cached ``.so`` serves every layout of the same
-    reachable DAG.
+    Construction encodes every row reachable from the root without
+    expanding a stub.  ``edges`` is the ``array('i')`` the walker
+    reads, ``root`` the root's edge code.  Rows are numbered in
+    discovery order from the threaded root; stub edges wait in
+    ``_waiting`` (stub row -> slots) until a park resolves them.  The
+    encoding holds table row indices, so it is valid for one layout
+    generation of the table (see ``NodeTable.generation``).
     """
 
-    a: List[int]
-    b: List[int]
-    root: int
-    payload_map: List[int]
+    def __init__(self, table: NodeTable):
+        self.table = table
+        self.edges = array("i")
+        self._number: Dict[int, int] = {}
+        self._order: List[int] = []
+        self._waiting: Dict[int, List[int]] = {}
+        self._stub_at: Dict[int, int] = {}
+        self._set_root(self._code(table.root, ROOT_SLOT))
+        self._drain()
 
+    @property
+    def rows(self) -> int:
+        return len(self._order)
 
-def _thread(table: NodeTable, index: int) -> int:
-    """Follow JMP chains without expanding; raise on bit-free cycles."""
-    seen = None
-    while table.op[index] == OP_JMP:
-        if seen is None:
+    def _code(self, index: int, slot: int) -> int:
+        """The edge code of table row ``index`` written at ``slot``."""
+        table = self.table
+        op = table.op
+        if op[index] == OP_JMP:
             seen = {index}
-        index = table.a[index]
-        if index in seen:
-            raise KernelUnsupported(
-                "bit-free jump cycle (the walk would diverge without "
-                "consuming bits)"
-            )
-        seen.add(index)
-    return index
-
-
-def encode_table(table: NodeTable) -> EncodedTable:
-    """Canonically renumber ``table`` into an :class:`EncodedTable`.
-
-    Only rows reachable from the root are encoded, in discovery order
-    (root first, then each bit row's threaded ``a`` / ``b`` successors
-    breadth-first) -- a layout-insensitive numbering.
-    """
-    op, a, b, payload = table.op, table.a, table.b, table.payload
-    if table.pending_stubs:
-        raise KernelUnsupported(
-            "open table (%d loop-state stubs pending; expansion needs "
-            "live Python closures)" % table.pending_stubs
-        )
-
-    number = {}
-    order: List[int] = []
-    leaf_number = {}
-    leaf_order: List[int] = []
-
-    def code_of(index: int) -> int:
-        index = _thread(table, index)
+            while op[index] == OP_JMP:
+                index = table.a[index]
+                if index in seen:
+                    raise KernelUnsupported(
+                        "bit-free jump cycle (the walk would diverge "
+                        "without consuming bits)"
+                    )
+                seen.add(index)
         o = op[index]
+        if o == OP_BIT:
+            row = self._number.get(index)
+            if row is None:
+                row = self._number[index] = len(self._order)
+                self._order.append(index)
+            return row
         if o == OP_LEAF:
-            p = payload[index]
-            canonical = leaf_number.get(p)
-            if canonical is None:
-                canonical = leaf_number[p] = len(leaf_order)
-                leaf_order.append(p)
-            return -(canonical + 2)
+            return -(table.payload[index] + 3)
         if o == OP_FAIL:
-            return -1
+            return CODE_FAIL
         if o == OP_STUB:
-            raise KernelUnsupported(
-                "open table (reached an unexpanded stub row)"
-            )
-        if o == OP_CALL:
-            raise KernelUnsupported(
-                "call rows (frame-separated loop returns resolve lazily "
-                "in Python)"
-            )
-        hit = number.get(index)
-        if hit is None:
-            hit = number[index] = len(order)
-            order.append(index)
-        return hit
-
-    root = code_of(table.root)
-    if root == -1:
+            self._waiting.setdefault(index, []).append(slot)
+            self._stub_at[slot] = index
+            return CODE_STUB
         raise KernelUnsupported(
-            "root resolves to FAIL (a tied restart would diverge without "
-            "consuming bits)"
+            "call rows (frame-separated loop returns resolve lazily in "
+            "Python)"
         )
-    enc_a: List[int] = []
-    enc_b: List[int] = []
-    cursor = 0
-    while cursor < len(order):
-        index = order[cursor]
-        cursor += 1
-        enc_a.append(code_of(a[index]))
-        enc_b.append(code_of(b[index]))
-    return EncodedTable(enc_a, enc_b, root, leaf_order)
+
+    def _low(self) -> int:
+        return -(len(self.table.payloads) + 2)
+
+    def _set_root(self, code: int) -> None:
+        if code == CODE_FAIL:
+            raise KernelUnsupported(
+                "root resolves to FAIL (a tied restart would diverge "
+                "without consuming bits)"
+            )
+        if not self._low() <= code < len(self._order):
+            raise KernelUnsupported("root code %d out of range" % code)
+        self.root = code
+
+    def _drain(self) -> None:
+        """Encode every numbered row that has no edges yet, then
+        range-check the appended edges before the walker can see them."""
+        table = self.table
+        a, b, order, edges = table.a, table.b, self._order, self.edges
+        start = row = len(edges) // 2
+        while row < len(order):
+            index = order[row]
+            edges.append(self._code(b[index], 2 * row))
+            edges.append(self._code(a[index], 2 * row + 1))
+            row += 1
+        if row > start:
+            fresh = edges[2 * start:]
+            low, high = min(fresh), max(fresh)
+            if low < self._low() or high >= len(order):
+                raise KernelUnsupported(
+                    "edge code outside [%d, %d)" % (self._low(), len(order))
+                )
+
+    def write(self, slot: int, code: int) -> None:
+        """Patch the edge at ``slot`` (``ROOT_SLOT``: the root) after a
+        range check; an out-of-range code is refused unwritten."""
+        if slot == ROOT_SLOT:
+            self._set_root(code)
+            return
+        if not self._low() <= code < len(self._order):
+            raise KernelUnsupported(
+                "patched edge code %d outside [%d, %d)"
+                % (code, self._low(), len(self._order))
+            )
+        self.edges[slot] = code
+
+    def resolve(self, slot: int) -> int:
+        """Expand the stub the walker parked on at ``slot``, patch every
+        edge waiting on it, and return the code to resume with."""
+        stub = self._stub_at[slot]
+        target = self.table.resolve(stub)
+        code = self._code(target, slot)
+        self._drain()
+        for waiting in self._waiting.pop(stub):
+            self.write(waiting, code)
+            del self._stub_at[waiting]
+        return code
 
 
-def encoded_digest(encoded: EncodedTable) -> str:
-    """SHA-256 over the canonical encoding + codegen version."""
-    hasher = hashlib.sha256()
-    hasher.update(b"zar-native-kernel:%d\n" % CODEGEN_VERSION)
-    hasher.update(b"root:%d\n" % encoded.root)
-    hasher.update(("a:" + ",".join(map(str, encoded.a)) + "\n").encode())
-    hasher.update(("b:" + ",".join(map(str, encoded.b)) + "\n").encode())
-    return hasher.hexdigest()
-
-
-def _c_array(name: str, values: List[int]) -> str:
-    lines = ["static const int32_t %s[%d] = {" % (name, max(len(values), 1))]
-    row: List[str] = []
-    for value in values:
-        row.append(str(value))
-        if len(row) == 12:
-            lines.append("    " + ", ".join(row) + ",")
-            row = []
-    if row:
-        lines.append("    " + ", ".join(row) + ",")
-    if not values:
-        lines.append("    0,")
-    lines.append("};")
-    return "\n".join(lines)
-
-
-def render_c(encoded: EncodedTable, digest: str) -> str:
-    """The complete C translation unit for one encoded table.
-
-    The two successor arrays are interleaved as ``ZT[2*i + bit]``
-    (``bit = 0`` is the ``b`` edge) so the inner step is pure address
-    arithmetic -- no data-dependent branch on a fair bit, which would
-    mispredict half the time by construction.
-    """
-    interleaved: List[int] = []
-    for a_code, b_code in zip(encoded.a, encoded.b):
-        interleaved.append(b_code)
-        interleaved.append(a_code)
-    return _TEMPLATE % {
-        "version": CODEGEN_VERSION,
-        "digest": digest,
-        "rows": len(encoded.a),
-        "root": encoded.root,
-        "zt": _c_array("ZT", interleaved),
-    }
-
-
-_TEMPLATE = """\
-/* Generated by zar native codegen v%(version)d -- do not edit.
+WALKER_SOURCE = """\
+/* zar native walker v%(version)d.
  *
- * Kernel digest: %(digest)s
- * %(rows)d bit rows; successor codes >= 0 are row indices, -1 is
- * observation failure, -(p + 2) is the canonical leaf code p (the
- * caller's payload_map translates codes to its payload indices).
- * ZT interleaves the b/a successor arrays as ZT[2*i + bit], keeping
- * the inner step branch-free (a fair bit mispredicts by definition).
+ * One table walk for every program: the table is an int32 edge array
+ * passed at call time.  Edge codes: >= 0 is a bit row, -1 observation
+ * failure, -2 an unexpanded stub, -(p + 3) the leaf with payload p.
+ * Row r's successors sit at edges[2*r + bit], so the inner step is
+ * pure address arithmetic (a fair bit mispredicts by construction).
  * The walk consumes the caller's packed fair-bit buffer LSB-first per
  * byte, little-endian across bytes -- BitPool's exact chunk order.
  */
 #include <stdint.h>
 
-#define ZAR_ROOT %(root)d
+#define ZAR_FAIL (-1)
+#define ZAR_STUB (-2)
+#define ZAR_ROOT_SLOT (-1)
+#define ZAR_NO_PARK (-2)
 #define ZAR_FRESH (-9223372036854775807LL - 1)
 
-%(zt)s
+int32_t zar_walker_version(void) { return %(version)d; }
 
-static const char ZAR_DIGEST[] = "%(digest)s";
-
-const char *zar_digest(void) { return ZAR_DIGEST; }
-int32_t zar_codegen_version(void) { return %(version)d; }
-int64_t zar_rows(void) { return %(rows)d; }
-
-/* Draw samples done..n-1 from the table over one packed bit buffer.
+/* Draw samples done..n-1; returns the new number of finished samples.
  *
- * Returns the new number of finished samples.  When the buffer drains
- * mid-sample the in-flight (node, bits-used) pair parks in state[0..1]
- * (state[0] == ZAR_FRESH means no sample in flight) and the caller
- * refills and re-invokes; the parked walk resumes on the next buffer's
- * first bit, so refill boundaries are invisible to the bit stream.
- * A tied failure restarts at the root without resetting the bit
- * counter -- the sequential driver's exact restart semantics.
+ * state[0] is the in-flight edge code (ZAR_FRESH: none), state[1] its
+ * bits used, state[2] the position in this buffer, state[3] the park
+ * slot.  The walker returns when n samples are done, when the buffer
+ * drains mid-sample (state[3] == ZAR_NO_PARK; the caller refills and
+ * resets state[2]), or when an edge leads into a stub: then state[3]
+ * is that edge's slot (ZAR_ROOT_SLOT for the root), the bit that chose
+ * it is already counted, and the caller expands the stub, patches the
+ * edge, stores the resolved code in state[0] and calls again.  A tied
+ * failure restarts at the root without resetting the bit counter --
+ * the sequential driver's restart semantics.
  */
-int64_t zar_collect(const unsigned char *bits, int64_t total_bits,
-                    int64_t done, int64_t n,
-                    int64_t *out_idx, int64_t *out_bits,
-                    int64_t *state, const int32_t *payload_map,
-                    int32_t tied)
+int64_t zar_walk(const int32_t *edges, int64_t root,
+                 const unsigned char *bits, int64_t total_bits,
+                 int64_t done, int64_t n,
+                 int64_t *out_idx, int64_t *out_bits,
+                 int64_t *state, int32_t tied)
 {
-    int64_t pos = 0;
-    int64_t i = (state[0] == ZAR_FRESH) ? ZAR_ROOT : state[0];
-    int64_t used = (state[0] == ZAR_FRESH) ? 0 : state[1];
+    int64_t i = state[0];
+    int64_t used = state[1];
+    int64_t pos = state[2];
+    if (i == ZAR_FRESH) {
+        i = root;
+        used = 0;
+    }
     while (done < n) {
+        int64_t slot = ZAR_ROOT_SLOT;
         while (i >= 0) {
             if (pos >= total_bits) {
                 state[0] = i;
                 state[1] = used;
+                state[2] = pos;
+                state[3] = ZAR_NO_PARK;
                 return done;
             }
-            i = (int64_t)ZT[(i << 1)
-                            | ((bits[pos >> 3] >> (pos & 7)) & 1)];
+            slot = (i << 1) | ((bits[pos >> 3] >> (pos & 7)) & 1);
+            i = (int64_t)edges[slot];
             pos++;
             used++;
         }
-        if (i == -1 && tied) {
-            i = ZAR_ROOT;
+        if (i == ZAR_STUB) {
+            state[0] = ZAR_STUB;
+            state[1] = used;
+            state[2] = pos;
+            state[3] = slot;
+            return done;
+        }
+        if (i == ZAR_FAIL && tied) {
+            i = root;
             continue;
         }
-        out_idx[done] = (i == -1) ? -1 : (int64_t)payload_map[-i - 2];
+        out_idx[done] = (i == ZAR_FAIL) ? -1 : -i - 3;
         out_bits[done] = used;
         done++;
-        i = ZAR_ROOT;
+        i = root;
         used = 0;
     }
     state[0] = ZAR_FRESH;
     state[1] = 0;
+    state[2] = pos;
+    state[3] = ZAR_NO_PARK;
     return done;
 }
-"""
+""" % {"version": WALKER_VERSION}

@@ -1,36 +1,40 @@
-"""Drive a compiled native kernel off the pooled bit stream.
+"""Drive the native walker off the pooled bit stream.
 
 Bit-stream preservation is the whole contract: :func:`collect_kernel`
-feeds the kernel the *exact* stream a ``BitPool(seed)`` produces --
+feeds the walker the *exact* stream a ``BitPool(seed)`` produces --
 whole 4096-bit ``getrandbits`` chunks, serialized little-endian so bit
 ``j`` of a chunk is bit ``j & 7`` of byte ``j >> 3``, chunks
-concatenated in draw order.  The kernel consumes that buffer strictly
-in order and parks mid-sample state across refills, so the sequence of
-(payload index, bits used) pairs is identical to the sequential driver
-(``CountingBits(BitPool(seed))``) and to ``collect_python`` on the same
-seed.  Leftover bits at the end of the last buffer are discarded, as
-every pooled backend discards its pool.
+concatenated in draw order.  The walker consumes that buffer strictly
+in order and keeps its mid-sample state across refills, so the sequence
+of (payload index, bits used) pairs is identical to the sequential
+driver (``CountingBits(BitPool(seed))``) and to ``collect_python`` on
+the same seed.  Leftover bits at the end of the last buffer are
+discarded, as every pooled backend discards its pool.
 
-:func:`kernel_for` is the table-to-kernel resolver the engine seams
-call: it gates on availability, attempts a *bounded* closure of open
-tables (expansion slices stop as soon as the pending-stub count fails
-to shrink -- a geometric loop's frontier never shrinks, a shrinking
-range die's always does), encodes, and resolves through the kernel
-cache.  Every refusal returns a human-readable reason; the caller
+Open tables run natively too.  When the walker reaches an edge into an
+unexpanded loop-state stub it parks; :func:`collect_kernel` expands the
+stub through :meth:`~repro.engine.native.codegen.Encoding.resolve` --
+the same expansion, in the same order, that ``collect_python`` does on
+the same visit, consuming no bits -- patches the edge and resumes.  The
+table ends in the expansion state a ``collect_python`` run would leave.
+
+:func:`kernel_for` is the table-to-walker resolver the engine seams
+call: it gates on availability, encodes the table (memoized per table
+and layout generation, then grown in place by parks) and loads the
+walker.  Every refusal returns a human-readable reason; the caller
 prefixes it with ``native-unavailable`` in
 ``CollectResult.fallback_reason``.
 """
 
-import os
 from array import array
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.engine.native import kernel as _kernel
 from repro.engine.native.codegen import (
     FRESH_STATE,
+    NO_PARK,
+    Encoding,
     KernelUnsupported,
-    encode_table,
-    encoded_digest,
 )
 from repro.engine.pool import BitPool
 
@@ -43,28 +47,18 @@ __all__ = [
 
 
 class BoundKernel(NamedTuple):
-    """A cached kernel bound to one table's payload numbering.
+    """The walker bound to one table's encoding.
 
-    The ``.so`` is digest-keyed over the *canonical* encoding, so one
-    compiled kernel serves every physical layout of the same reachable
-    DAG; what differs per table is only ``payload_map`` (canonical leaf
-    code -> this table's payload index), which the kernel reads at call
-    time.
+    ``info`` is the dict :func:`kernel_for` returned; :func:`collect_kernel`
+    records its park count there as ``info["parks"]``.
     """
 
     kernel: object  # NativeKernel
-    payload_map: object  # array("i"): canonical code -> payload index
+    encoding: Encoding
+    info: Dict[str, object]
 
-#: Expansion slice for the bounded closure attempt; bail as soon as one
-#: slice fails to shrink the pending-stub count.
-_EXPAND_SLICE = 2048
 
-#: Hard ceiling on encoded bit rows: beyond this the generated TU gets
-#: slow to compile and the cache entry large; the python/numpy backends
-#: handle it fine.
-_DEFAULT_MAX_ROWS = 200_000
-
-#: Chunks per kernel call: the first buffer is small (tiny collects
+#: Chunks per walker call: the first buffer is small (tiny collects
 #: stay cheap), later buffers are sized from the observed bits-per-
 #: sample rate so the pool never generates far more bits than the run
 #: consumes (generation is the main Python-side cost).
@@ -72,108 +66,68 @@ _CHUNKS_MIN = 8
 _CHUNKS_MAX = 4096
 
 
-def _max_rows() -> int:
-    try:
-        return int(os.environ.get("ZAR_NATIVE_MAX_ROWS", _DEFAULT_MAX_ROWS))
-    except ValueError:
-        return _DEFAULT_MAX_ROWS
+def _encoding_for(table) -> Encoding:
+    """The table's encoding for its current layout generation.
 
-
-def _expand_budget() -> int:
-    try:
-        return int(os.environ.get("ZAR_NATIVE_EXPAND", 65536))
-    except ValueError:
-        return 65536
-
-
-def _try_close(table) -> Optional[str]:
-    """Try to close ``table``; return the refusal reason or ``None``.
-
-    The attempt is sticky per (table, pending count): once a closure
-    attempt bails, it is not repeated until the pending count has
-    changed (e.g. other drivers expanded further) -- repeated native
-    requests against a diverging loop must not expand it forever.
+    A refusal is memoized too: call rows and jump cycles never leave a
+    table once lowered, so re-walking it per request would only repeat
+    the same answer.
     """
-    if not table.pending_stubs:
-        return None
-    refused = getattr(table, "_zar_native_refused", None)
-    if refused is not None and refused == table.pending_stubs:
-        return (
-            "open table (%d loop-state stubs pending; closure attempt "
-            "already bailed)" % table.pending_stubs
-        )
-    spent = 0
-    budget = _expand_budget()
-    while table.pending_stubs:
-        if spent >= budget:
-            break
-        before = table.pending_stubs
-        if table.expand_all(limit=min(_EXPAND_SLICE, budget - spent)):
-            return None
-        spent += _EXPAND_SLICE
-        if table.pending_stubs >= before:
-            break  # frontier not shrinking: a diverging loop-state space
-    table._zar_native_refused = table.pending_stubs
-    return (
-        "open table (%d loop-state stubs pending after bounded "
-        "expansion)" % table.pending_stubs
-    )
-
-
-def _encoded_for(table):
-    """Encode ``table``, memoizing on the table version."""
-    memo = getattr(table, "_zar_native_encoded", None)
-    if memo is not None and memo[0] == table.version:
+    memo = getattr(table, "_zar_walk_encoding", None)
+    if memo is not None and memo[0] == table.generation:
+        if isinstance(memo[1], KernelUnsupported):
+            raise memo[1]
         return memo[1]
-    encoded = encode_table(table)
-    table._zar_native_encoded = (table.version, encoded)
-    return encoded
+    try:
+        encoding = Encoding(table)
+    except KernelUnsupported as err:
+        table._zar_walk_encoding = (table.generation, err)
+        raise
+    table._zar_walk_encoding = (table.generation, encoding)
+    return encoding
 
 
 def kernel_for(
     table, cache_dir: Optional[str] = None
-) -> Tuple[Optional[object], Optional[str], Dict[str, object]]:
+) -> Tuple[Optional[BoundKernel], Optional[str], Dict[str, object]]:
     """Resolve ``table`` to ``(kernel, reason, info)``.
 
     ``kernel`` is ``None`` iff the table cannot run natively, with the
-    reason in ``reason``.  ``info`` always carries whatever is known
-    (digest/tier/compile_ms when a kernel was resolved).
+    reason in ``reason``.  ``info`` always carries whatever is known:
+    the walker's ``tier``/``compile_ms``/``key`` once loaded, the
+    encoded ``rows``, and ``parks`` (stub hand-backs in the last
+    :func:`collect_kernel` call).
     """
     info: Dict[str, object] = {"tier": None, "compile_ms": None}
     if _kernel.native_disabled():
         return None, "disabled via ZAR_NATIVE_DISABLE", info
     if _kernel.find_compiler() is None:
         return None, "no C compiler on PATH (set ZAR_NATIVE_CC)", info
-    reason = _try_close(table)
-    if reason is not None:
-        return None, reason, info
     try:
-        encoded = _encoded_for(table)
+        encoding = _encoding_for(table)
     except KernelUnsupported as err:
         return None, str(err), info
-    if len(encoded.a) > _max_rows():
-        return None, (
-            "table too large (%d bit rows > ZAR_NATIVE_MAX_ROWS=%d)"
-            % (len(encoded.a), _max_rows())
-        ), info
     try:
-        kernel, info = _kernel.build_kernel(encoded, cache_dir=cache_dir)
+        walker, info = _kernel.load_walker(cache_dir=cache_dir)
     except _kernel.KernelCompileError as err:
         return None, "kernel compile failed: %s" % err, info
-    return BoundKernel(kernel, array("i", encoded.payload_map)), None, info
+    info["rows"] = encoding.rows
+    info["parks"] = 0
+    return BoundKernel(walker, encoding, info), None, info
 
 
 def kernel_status(table) -> str:
-    """One-line kernel-cache state for the ``zar compile`` stage report."""
-    kernel, reason, info = kernel_for(table)
-    if kernel is None:
+    """One-line walker state for the ``zar compile`` stage report."""
+    bound, reason, info = kernel_for(table)
+    if bound is None:
         return "unavailable (%s)" % reason
-    digest = str(info.get("digest", ""))[:12]
-    if info.get("tier") == "compiled":
-        return "compiled (%.1f ms, key %s)" % (
-            info.get("compile_ms") or 0.0, digest,
-        )
-    return "cached (%s, key %s)" % (info.get("tier"), digest)
+    tier = str(info["tier"])
+    if info["compile_ms"] is not None:
+        tier = "%s %.1f ms" % (tier, info["compile_ms"])
+    line = "ready (walker %s, %d rows" % (tier, info["rows"])
+    if table.pending_stubs:
+        line += ", %d stubs pending" % table.pending_stubs
+    return line + ")"
 
 
 def collect_kernel(
@@ -181,37 +135,57 @@ def collect_kernel(
     n: int,
     seed: Optional[int] = None,
     tied: bool = True,
-) -> Tuple[List[int], List[int]]:
-    """Draw ``n`` samples; returns ``(payload indices, bits per sample)``.
+) -> Tuple[array, array]:
+    """Draw ``n`` samples; returns ``(payload indices, bits per sample)``
+    as ``array('q')`` columns.
 
     The pooled-backend contract of :func:`repro.engine.driver.
     collect_python`, bit-for-bit: same pool, same chunk order, same
-    restart semantics.
+    restart semantics, same stub expansions.  Raises
+    :class:`KernelUnsupported` when an expansion reaches rows the
+    walker cannot take (call rows); the stubs expanded so far are the
+    ones a Python run expands first, so the caller may rerun the pooled
+    Python driver from the start and get its exact stream.
     """
-    kernel, payload_map = bound.kernel, bound.payload_map
+    walker, encoding, info = bound
+    table = encoding.table
     pool = BitPool(seed)
-    out_idx = array("q", (0,)) * n
-    out_bits = array("q", (0,)) * n
-    state = array("q", [FRESH_STATE, 0])
+    out_idx = array("q", bytes(8 * n))
+    out_bits = array("q", bytes(8 * n))
+    # in-flight code, its bits used, buffer position, park slot
+    state = array("q", [FRESH_STATE, 0, 0, NO_PARK])
+    buffer = b""
     done = 0
-    fed = 0  # bits handed to the kernel so far (tail slack included)
-    while done < n:
-        if done:
-            # Size the next buffer from the observed consumption rate,
-            # with 25% headroom plus one chunk of slack.
-            needed = (fed * (n - done)) // done + (fed * (n - done)) // (
-                4 * done) + 4096
-            chunks = max(1, min(_CHUNKS_MAX, needed // 4096 + 1))
-        else:
-            chunks = _CHUNKS_MIN
-        parts = []
-        for _ in range(chunks):
-            value, width = pool.next_chunk()
-            parts.append(value.to_bytes(width // 8, "little"))
-        buffer = b"".join(parts)
-        fed += len(buffer) * 8
-        done = kernel.collect_call(
-            buffer, len(buffer) * 8, done, n, out_idx, out_bits, state,
-            payload_map, tied
-        )
-    return out_idx.tolist(), out_bits.tolist()
+    fed = 0  # bits handed to the walker so far (tail slack included)
+    parks = 0
+    try:
+        while done < n:
+            if state[2] >= len(buffer) * 8:
+                if done:
+                    # Size the next buffer from the observed consumption
+                    # rate, with 25% headroom plus one chunk of slack.
+                    needed = (fed * (n - done)) // done + (
+                        fed * (n - done)) // (4 * done) + 4096
+                    chunks = max(1, min(_CHUNKS_MAX, needed // 4096 + 1))
+                else:
+                    chunks = _CHUNKS_MIN
+                parts = []
+                for _ in range(chunks):
+                    value, width = pool.next_chunk()
+                    parts.append(value.to_bytes(width // 8, "little"))
+                buffer = b"".join(parts)
+                fed += len(buffer) * 8
+                state[2] = 0
+            done = walker.walk(
+                encoding.edges, encoding.root, buffer, len(buffer) * 8,
+                done, n, out_idx, out_bits, state, tied,
+            )
+            if state[3] != NO_PARK:
+                parks += 1
+                state[0] = encoding.resolve(state[3])
+    except KernelUnsupported as err:
+        table._zar_walk_encoding = (table.generation, err)
+        raise
+    finally:
+        info["parks"] = parks
+    return out_idx, out_bits

@@ -1,29 +1,25 @@
-"""Compile, cache, and load generated native kernels.
+"""Compile, cache, and load the native walker.
 
-The kernel store is content-addressed and lives **next to the artifact
-store**: ``ZAR_NATIVE_CACHE_DIR`` names it explicitly, else it is the
+There is one C program, the generic walker
+(:data:`~repro.engine.native.codegen.WALKER_SOURCE`); tables are data
+it reads at call time.  It is compiled once per (walker version,
+compiler fingerprint) and kept in a :class:`repro.store.Store`:
+``ZAR_NATIVE_CACHE_DIR`` names the directory explicitly, else it is the
 ``kernels/`` subdirectory of the compilation cache's disk tier
 (``configure_cache(disk_dir=...)`` / ``ZAR_COMPILE_CACHE_DIR``), else a
-per-process temporary directory (kernels still dedupe within the
-process, just not across processes).
+per-process temporary directory.
 
-Cache key anatomy -- three independent invalidation axes:
+- ``zw-v<version>.c`` is the kept source (CI uploads it);
+- ``zw-v<version>-<fingerprint>.so`` is the object, where the
+  fingerprint hashes the resolved compiler path and its ``--version``
+  banner, so a toolchain upgrade recompiles instead of loading an
+  ABI-stale object;
+- every load self-checks ``zar_walker_version()`` after ``dlopen``.
 
-- the **kernel digest** (:func:`~repro.engine.native.codegen.
-  encoded_digest`): SHA-256 of the canonical table encoding, which
-  already folds in ``CODEGEN_VERSION``.  The ``.c`` source is stored as
-  ``zk-<digest>.c`` (kept for inspection; CI uploads it);
-- the **compiler fingerprint** (hash of the resolved compiler path and
-  its ``--version`` banner), appended to the shared-object entry name
-  ``zk-<digest>-<fingerprint>.so`` so a toolchain upgrade recompiles
-  instead of loading ABI-stale objects;
-- a **load-time self-check**: every object exports ``zar_digest()`` /
-  ``zar_codegen_version()``, verified after ``dlopen``.
-
-Objects live in a :class:`repro.store.Store`, which verifies each
-entry's key and SHA-256 before anything is loaded.  An entry that fails
-that check or the self-check is unlinked, counted as ``corrupt`` in
-:func:`kernel_store`'s stats, and recompiled -- never executed.
+The store verifies each entry's key and SHA-256 before anything is
+loaded.  An entry that fails that check or the self-check is unlinked,
+counted as ``corrupt`` in :func:`kernel_store`'s stats, and recompiled
+-- never executed.
 
 Loading uses :mod:`ctypes`.  ``native_available()`` is the cheap gate
 the engine seams consult: it requires a C compiler on ``PATH`` (or
@@ -39,12 +35,7 @@ import tempfile
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.engine.native.codegen import (
-    CODEGEN_VERSION,
-    EncodedTable,
-    encoded_digest,
-    render_c,
-)
+from repro.engine.native.codegen import WALKER_SOURCE, WALKER_VERSION
 from repro.store import Store, atomic_write
 
 __all__ = [
@@ -52,21 +43,21 @@ __all__ = [
     "KernelCacheError",
     "KernelCompileError",
     "NativeKernel",
-    "build_kernel",
     "compiler_fingerprint",
     "compiler_invocations",
     "find_compiler",
     "kernel_cache_dir",
     "kernel_store",
+    "load_walker",
     "native_available",
     "reset_kernel_runtime",
 ]
 
-COMPILE_TIMEOUT = 120  # seconds; a table-walk TU compiles in well under
+COMPILE_TIMEOUT = 120  # seconds; the walker compiles in about 0.1 s
 
 
 class KernelCompileError(RuntimeError):
-    """The C compiler failed (or is missing) for a generated kernel."""
+    """The C compiler failed (or is missing) for the walker."""
 
 
 class KernelCacheError(RuntimeError):
@@ -75,7 +66,7 @@ class KernelCacheError(RuntimeError):
 
 # -- process-wide runtime state (reset_kernel_runtime clears it all) -----
 
-#: digest -> loaded NativeKernel: the in-process (memory) cache tier.
+#: store key -> loaded NativeKernel: the in-process (memory) tier.
 _MEMORY: Dict[str, "NativeKernel"] = {}
 #: directory -> its Store, so the store counters persist per process.
 _STORES: Dict[str, Store] = {}
@@ -177,30 +168,24 @@ def kernel_store(cache_dir: Optional[str] = None) -> Store:
 # -- loading -------------------------------------------------------------
 
 class NativeKernel:
-    """A validated, loaded kernel for one table digest.
+    """The validated, loaded walker.
 
     The ctypes binding: buffers are passed by address, so callers keep
-    them alive for the duration of :meth:`collect_call`.
+    them alive for the duration of :meth:`walk`.
     """
 
-    def __init__(self, lib, digest: str, payloads: int):
+    def __init__(self, lib):
         self._lib = lib
-        self.digest = digest
-        self.payloads = payloads
-        self.rows = int(lib.zar_rows())
 
-    def collect_call(self, bits: bytes, total_bits: int, done: int, n: int,
-                     out_idx, out_bits, state, payload_map,
-                     tied: bool) -> int:
-        return int(
-            self._lib.zar_collect(
-                bits, total_bits, done, n,
-                out_idx.buffer_info()[0],
-                out_bits.buffer_info()[0],
-                state.buffer_info()[0],
-                payload_map.buffer_info()[0],
-                1 if tied else 0,
-            )
+    def walk(self, edges, root: int, bits: bytes, total_bits: int,
+             done: int, n: int, out_idx, out_bits, state,
+             tied: bool) -> int:
+        return self._lib.zar_walk(
+            edges.buffer_info()[0], root, bits, total_bits, done, n,
+            out_idx.buffer_info()[0],
+            out_bits.buffer_info()[0],
+            state.buffer_info()[0],
+            1 if tied else 0,
         )
 
 
@@ -223,36 +208,28 @@ def _private_object(body: bytes = b"") -> str:
     return path
 
 
-def _load_validated(path: str, digest: str, payloads: int) -> NativeKernel:
+def _load_validated(path: str) -> NativeKernel:
     """dlopen + self-check; any failure is a :class:`KernelCacheError`."""
     try:
         lib = ctypes.CDLL(path)
-        lib.zar_digest.restype = ctypes.c_char_p
-        lib.zar_digest.argtypes = []
-        lib.zar_codegen_version.restype = ctypes.c_int32
-        lib.zar_codegen_version.argtypes = []
-        lib.zar_rows.restype = ctypes.c_int64
-        lib.zar_rows.argtypes = []
-        lib.zar_collect.restype = ctypes.c_int64
-        lib.zar_collect.argtypes = [
+        lib.zar_walker_version.restype = ctypes.c_int32
+        lib.zar_walker_version.argtypes = []
+        lib.zar_walk.restype = ctypes.c_int64
+        lib.zar_walk.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64,
             ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_int32,
+            ctypes.c_int32,
         ]
-        found_version = int(lib.zar_codegen_version())
-        found_digest = lib.zar_digest().decode()
+        found_version = int(lib.zar_walker_version())
     except Exception as err:  # dlopen/symbol errors vary wildly by libc
-        raise KernelCacheError("kernel object unloadable: %s" % err)
-    if found_version != CODEGEN_VERSION:
+        raise KernelCacheError("walker object unloadable: %s" % err)
+    if found_version != WALKER_VERSION:
         raise KernelCacheError(
-            "kernel codegen version %d != expected %d"
-            % (found_version, CODEGEN_VERSION)
+            "walker version %d != expected %d"
+            % (found_version, WALKER_VERSION)
         )
-    if found_digest != digest:
-        raise KernelCacheError(
-            "kernel digest mismatch (%s != %s)" % (found_digest, digest)
-        )
-    return NativeKernel(lib, digest, payloads)
+    return NativeKernel(lib)
 
 
 # -- compilation ---------------------------------------------------------
@@ -286,71 +263,53 @@ def _compile(c_path: str) -> str:
     return so_path
 
 
-def build_kernel(
-    encoded: EncodedTable, cache_dir: Optional[str] = None
+def load_walker(
+    cache_dir: Optional[str] = None,
 ) -> Tuple[NativeKernel, Dict[str, object]]:
-    """Resolve ``encoded`` to a loaded kernel through the cache tiers.
+    """Resolve the walker through the memory, disk and compile tiers.
 
-    Returns ``(kernel, info)`` where ``info`` carries the telemetry
+    Returns ``(walker, info)`` where ``info`` carries the telemetry
     surface: ``tier`` (``"memory"`` / ``"disk"`` / ``"compiled"``),
-    ``compile_ms`` (``None`` unless freshly compiled), ``digest``, and
-    ``c_path`` (the kept source, for the CI artifact).  Raises
-    :class:`KernelCompileError` when the toolchain is unusable.
+    ``compile_ms`` (``None`` unless freshly compiled), the store
+    ``key`` and ``c_path`` (the kept source, for the CI artifact).
+    Raises :class:`KernelCompileError` when the toolchain is unusable.
     """
-    digest = encoded_digest(encoded)
     store = kernel_store(cache_dir)
-    c_path = store.path("zk-%s.c" % digest)
-    key = "zk-%s-%s.so" % (digest, compiler_fingerprint())
-    payloads = len(encoded.payload_map)
+    key = "zw-v%d-%s.so" % (WALKER_VERSION, compiler_fingerprint())
+    c_path = store.path("zw-v%d.c" % WALKER_VERSION)
     info: Dict[str, object] = {
-        "digest": digest,
-        "rows": len(encoded.a),
+        "key": key,
         "c_path": c_path,
         "tier": None,
         "compile_ms": None,
     }
 
-    cached = _MEMORY.get(digest)
+    cached = _MEMORY.get(key)
     if cached is not None:
         info["tier"] = "memory"
         return cached, info
 
-    # Static range check, once per kernel load rather than per collect:
-    # every successor code must be a row index or a terminal whose
-    # canonical leaf code exists in the payload map, so a validated
-    # kernel can never index past the map the driver passes it.
-    low = -(len(encoded.payload_map) + 1)
-    rows = len(encoded.a)
-    for values in (encoded.a, encoded.b, (encoded.root,)):
-        for code in values:
-            if not low <= code < rows:
-                raise KernelCompileError(
-                    "encoded successor %d outside [%d, %d)"
-                    % (code, low, rows)
-                )
-
     body = store.get(key)
     if body is not None:
         try:
-            kernel = _load_validated(_private_object(body), digest, payloads)
+            walker = _load_validated(_private_object(body))
         except KernelCacheError:
             # Verified bytes that fail the self-check: drop the entry
             # and fall through to a fresh compile -- never execute a
-            # kernel that failed validation.
+            # walker that failed validation.
             store.drop(key)
         else:
             info["tier"] = "disk"
-            _MEMORY[digest] = kernel
-            return kernel, info
+            _MEMORY[key] = walker
+            return walker, info
 
-    source = render_c(encoded, digest)
     start = time.perf_counter()
-    atomic_write(c_path, source.encode())
+    atomic_write(c_path, WALKER_SOURCE.encode())
     so_path = _compile(c_path)
-    kernel = _load_validated(so_path, digest, payloads)
+    walker = _load_validated(so_path)
     with open(so_path, "rb") as handle:
         store.put(key, handle.read())
     info["tier"] = "compiled"
     info["compile_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    _MEMORY[digest] = kernel
-    return kernel, info
+    _MEMORY[key] = walker
+    return walker, info

@@ -198,6 +198,11 @@ class NodeTable:
         # Monotone counter bumped on every structural change; drivers
         # use it to refresh derived (numpy) views incrementally.
         self.version = 0
+        # Bumped when existing rows are renumbered or the root moves
+        # (compaction, rebinding): anything but appending rows and
+        # expanding stubs in place.  The native walker's append-only
+        # encoding is valid for one generation.
+        self.generation = 0
         self._fail_node = -1
         self._payload_index: Dict[object, int] = {}
         # Memo keys are *content tokens* wherever content keys exist
@@ -642,6 +647,7 @@ class NodeTable:
         self.root = self._lower(tree, _HALT)
         self.needs_rebind = False
         self.version += 1
+        self.generation += 1
 
     def resolve(self, index: int) -> int:
         """Follow jumps (expanding stubs on the way) to a concrete node."""
@@ -836,6 +842,7 @@ class NodeTable:
         removed = before - len(self.op)
         self.compacted_rows += removed
         self.version += 1
+        self.generation += 1
         return removed
 
     # -- introspection ---------------------------------------------------

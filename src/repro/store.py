@@ -51,7 +51,7 @@ class Store:
     """A directory of verified entries, one file per key.
 
     ``key`` is the entry's file name (``<digest>.zarc``,
-    ``zk-<digest>-<fp>.so``); it must not contain whitespace.
+    ``zw-v<version>-<fp>.so``); it must not contain whitespace.
     """
 
     def __init__(self, directory: str):

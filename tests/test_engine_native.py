@@ -1,19 +1,22 @@
-"""The native backend: generated C kernels for closed tables (ISSUE 10).
+"""The native backend: one compiled walker over an edge array.
 
 The contract under test, in order of importance:
 
 1. **Bit-stream preservation.**  ``backend="native"`` is bit-for-bit
    identical to the sequential reference (and the pooled Python
    backend) at every seed: same payload stream, same per-sample bit
-   counts.  This holds on closed tables (the kernel runs) *and* on
-   refusals (open tables, fuel, disabled env), where the observable
-   downgrade re-runs the pooled Python driver on the same pool.
+   counts.  This holds on closed tables, on open tables (the walker
+   parks at loop stubs, Python expands them and the walk resumes,
+   leaving the table as a Python run would) *and* on refusals (call
+   rows, fuel, disabled env), where the observable downgrade re-runs
+   the pooled Python driver on the same pool.
 
-2. **Digest-keyed kernel cache.**  The kernel digest is computed over a
-   canonical discovery-order renumbering, so the same program reaches
-   the same ``.so`` regardless of expansion history or process; a warm
-   disk store means a fresh process never invokes the C compiler, and a
-   corrupted entry is recompiled -- never executed.
+2. **One walker, one store entry.**  Tables are data the walker reads
+   at call time, so every program shares one compiled object per
+   (walker version, compiler); a warm disk store means a fresh process
+   never invokes the C compiler, and a corrupted or stale entry is
+   recompiled -- never executed.  Every edge code is range-checked
+   before the walker can read it.
 
 3. **Observability.**  Every refusal surfaces as a
    ``"native-unavailable: ..."`` fallback note; kernel cache tier and
@@ -30,6 +33,7 @@ The contract under test, in order of importance:
 """
 
 import os
+import subprocess
 from fractions import Fraction
 
 import pytest
@@ -37,21 +41,25 @@ import pytest
 from repro.compiler.cache import CompilationCache
 from repro.compiler.liveness import narrow_command
 from repro.compiler.pipeline import Pipeline
-from repro.engine import collect_auto
+from repro.engine import BatchSampler, collect_auto
+from repro.engine.driver import collect_python
 from repro.engine.native import (
+    Encoding,
+    KernelCompileError,
     KernelUnsupported,
-    build_kernel,
+    WALKER_VERSION,
     collect_kernel,
     compiler_invocations,
-    encode_table,
-    encoded_digest,
+    find_compiler,
     kernel_for,
     kernel_status,
     kernel_store,
+    load_walker,
     native_available,
     reset_kernel_runtime,
 )
-from repro.engine.pool import HAVE_NUMPY
+from repro.engine.native.codegen import CODE_STUB
+from repro.engine.pool import HAVE_NUMPY, BitPool
 from repro.engine.profile import profile_named
 from repro.engine.tuner import EngineTuner
 from repro.lang.expr import Var
@@ -94,6 +102,29 @@ def _stream(command, n, seed, backend, extract=None, fuel=None):
     return result.samples.values, result.samples.bits
 
 
+def _lists(columns):
+    """``collect_kernel``'s ``array('q')`` columns as lists."""
+    indices, bits = columns
+    return indices.tolist(), bits.tolist()
+
+
+def _walker_builds() -> bool:
+    """Does the configured compiler build the walker?  False on the
+    broken-compiler CI leg, where native requests must downgrade."""
+    try:
+        load_walker()
+    except KernelCompileError:
+        return False
+    return True
+
+
+def _fig9b():
+    """Narrowed hare/tortoise (Fig. 9b): frame-separated loop calls."""
+    return narrow_command(
+        hare_tortoise(Var("time") <= 10), observed=("t0", "time")
+    )
+
+
 # -- 1. bit-stream preservation ------------------------------------------
 
 DIFFERENTIAL = [
@@ -101,7 +132,7 @@ DIFFERENTIAL = [
     ("die200", n_sided_die(200), lambda s: s["x"], 250),
     ("dueling_2_3", dueling_coins(Fraction(2, 3)), lambda s: s["a"], 250),
     ("dueling_1_20", dueling_coins(Fraction(1, 20)), lambda s: s["a"], 120),
-    # Open table: native refuses, downgrade must stay bit-identical.
+    # Open table: the walker parks at loop stubs and resumes.
     ("geometric", geometric_primes(Fraction(1, 2)), lambda s: s["h"], 150),
 ]
 
@@ -117,18 +148,31 @@ class TestDifferential:
     def test_native_matches_sequential_and_python(
         self, name, command, extract, n, seed
     ):
-        native = _stream(command, n, seed, "native", extract)
+        result = collect_auto(
+            command, n, seed=seed, extract=extract, backend="native"
+        )
+        if _walker_builds():
+            assert result.fallback_reason is None
+        else:
+            assert result.fallback_reason.startswith(
+                "native-unavailable: kernel compile failed"
+            )
+        native = result.samples.values, result.samples.bits
         assert native == _stream(command, n, seed, "sequential", extract)
         assert native == _stream(command, n, seed, "python", extract)
 
     def test_open_table_downgrade_is_observable(self):
-        result = collect_auto(
-            geometric_primes(Fraction(1, 2)), 50, seed=3, backend="native"
-        )
+        # Call rows (Fig. 9b's frame-separated loops) are what the
+        # walker still refuses; the refusal names them.
+        command = _fig9b()
+        result = collect_auto(command, 50, seed=3, backend="native")
         assert result.engine == "batch"
         assert result.fallback_reason is not None
         assert result.fallback_reason.startswith("native-unavailable:")
-        assert "open table" in result.fallback_reason
+        assert "call rows" in result.fallback_reason
+        assert (result.samples.values, result.samples.bits) == _stream(
+            command, 50, 3, "sequential"
+        )
 
     def test_fuel_metering_refuses_native(self):
         # Fuel counts Python-driver node visits; the kernel has no such
@@ -146,9 +190,7 @@ class TestDifferential:
         # make the table natively unsupported, so ``backend="native"``
         # on the thawed program must downgrade and still be bit-for-bit
         # the sequential stream.
-        command = narrow_command(
-            hare_tortoise(Var("time") <= 10), observed=("t0", "time")
-        )
+        command = _fig9b()
         disk = str(tmp_path / "store")
         cache = CompilationCache(capacity=8, disk_dir=disk)
         program = Pipeline(cache=cache).compile(command)
@@ -168,61 +210,96 @@ class TestDifferential:
         assert run("native") == run("sequential")
 
 
-# -- 2. canonical encoding and the digest --------------------------------
+# -- 2. the append-only encoding ---------------------------------------
 
 @requires_native
 class TestEncoding:
-    def test_digest_stable_across_fresh_compiles(self):
-        first = encoded_digest(encode_table(_compile(n_sided_die(6)).table))
-        second = encoded_digest(encode_table(_compile(n_sided_die(6)).table))
-        assert first == second
-
-    def test_digest_stable_across_expansion_histories(self):
-        # die2000 compiles with ~1000 pending stubs.  History A: closed
-        # by the native resolver's bounded expansion.  History B: warmed
-        # along sampled trajectories first (rows -- and payload indices
-        # -- land in a different physical order), then closed.  The
-        # discovery-order renumbering of rows *and* leaf codes must
-        # erase the layout difference: same digest, so history B rides
-        # the kernel history A compiled (memory tier, no compiler
-        # work), with its own payload map making the mapped streams
-        # bit-for-bit equal.
-        reset_kernel_runtime()
-        a = _compile(n_sided_die(2000))
-        assert a.table.pending_stubs > 0
-        kernel_a, reason_a, info_a = kernel_for(a.table)
-        assert kernel_a is not None, reason_a
-
-        before = compiler_invocations()
-        b = _compile(n_sided_die(2000))
-        b.collect(64, seed=99, backend="python")  # trajectory-order rows
-        kernel_b, reason_b, info_b = kernel_for(b.table)
-        assert kernel_b is not None, reason_b
-        assert info_a["digest"] == info_b["digest"]
-        assert info_b["tier"] == "memory"
-        assert compiler_invocations() == before
-
-        def run(program):
-            result = program.collect(
-                400, seed=5, extract=lambda s: s["x"], backend="native"
-            )
-            return result.values, result.bits
-
-        assert run(a) == run(b)
-
-    def test_open_table_refused_by_encoder(self):
+    def test_open_table_encodes_stub_edges(self):
+        # Encoding walks what is expanded and leaves every edge into a
+        # stub as the reserved STUB code: it expands nothing.
         table = _compile(geometric_primes(Fraction(1, 2))).table
-        with pytest.raises(KernelUnsupported):
-            encode_table(table)
+        pending, expansions = table.pending_stubs, table.expansions
+        encoding = Encoding(table)
+        assert CODE_STUB in encoding.edges.tolist() + [encoding.root]
+        assert (table.pending_stubs, table.expansions) == (
+            pending, expansions)
 
     def test_call_rows_refused_by_encoder(self):
-        command = narrow_command(
-            hare_tortoise(Var("time") <= 10), observed=("t0", "time")
-        )
-        program = _compile(command)
+        program = _compile(_fig9b())
         program.collect(60, seed=7, backend="python")
         with pytest.raises(KernelUnsupported):
-            encode_table(program.table)
+            Encoding(program.table)
+
+    def test_out_of_range_patch_refused_before_walk(self, monkeypatch):
+        # A park whose resolved code points past the encoded rows must
+        # be refused before the edge is written, so the walker never
+        # reads it; the request downgrades to the Python stream.
+        table = Pipeline(use_cache=False, eager_expand=0).compile(
+            geometric_primes(Fraction(1, 2))).table
+        bound, reason, _ = kernel_for(table)
+        assert bound is not None, reason
+        encoding = bound.encoding
+        before = (encoding.root, encoding.edges.tolist())
+        monkeypatch.setattr(
+            type(encoding), "_code",
+            lambda self, index, slot: self.rows + 5,
+        )
+        with pytest.raises(KernelUnsupported, match="outside"):
+            collect_kernel(bound, 50, seed=1)
+        assert (encoding.root, encoding.edges.tolist()) == before
+        monkeypatch.undo()
+        twin = Pipeline(use_cache=False, eager_expand=0).compile(
+            geometric_primes(Fraction(1, 2))).table
+        sampler = BatchSampler(table)
+        samples = sampler.collect(50, seed=1, backend="native")
+        assert "outside" in sampler.native_fallback
+        python = BatchSampler(twin).collect(50, seed=1, backend="python")
+        assert (samples.values, samples.bits) == (
+            python.values, python.bits)
+
+
+# -- 2b. parking: open tables run natively -------------------------------
+
+PARKING = [
+    ("die6", n_sided_die(6)),
+    ("dueling_2_3", dueling_coins(Fraction(2, 3))),
+    ("geometric", geometric_primes(Fraction(1, 2))),
+]
+
+
+@requires_native
+class TestParking:
+    """``eager_expand=0`` tables: every loop entry is still a stub, so
+    the walker must hand each one back to Python and resume."""
+
+    @staticmethod
+    def _table(command):
+        # A fresh cache per table: twins must not share expansions.
+        return Pipeline(
+            cache=CompilationCache(capacity=4), eager_expand=0
+        ).compile(command).table
+
+    @pytest.mark.parametrize(
+        "name,command", PARKING, ids=[case[0] for case in PARKING]
+    )
+    def test_parked_walk_matches_python_and_sequential(self, name, command):
+        n, seed = 2000, 17
+        native = self._table(command)
+        assert native.pending_stubs > 0
+        bound, reason, info = kernel_for(native)
+        assert bound is not None, reason
+        indices, bits = _lists(collect_kernel(bound, n, seed=seed))
+        assert info["parks"] >= 1
+
+        python = self._table(command)
+        assert (indices, bits) == collect_python(python, n, BitPool(seed))
+        assert (native.pending_stubs, native.expansions) == (
+            python.pending_stubs, python.expansions)
+
+        sequential = BatchSampler(self._table(command)).collect(
+            n, seed=seed, backend="sequential")
+        assert [native.payloads[i] for i in indices] == sequential.values
+        assert bits == sequential.bits
 
 
 # -- 3. cache tiers: cold / warm / fresh-process / corrupted -------------
@@ -241,13 +318,13 @@ class TestKernelCache:
         assert info["compile_ms"] > 0
         assert compiler_invocations() == before + 1
         assert os.path.exists(info["c_path"])  # kept for the CI artifact
-        cold = collect_kernel(kernel, 500, seed=9)
+        cold = _lists(collect_kernel(kernel, 500, seed=9))
 
         # Same process: memory tier, no compiler work.
         kernel2, _, info2 = kernel_for(table)
         assert info2["tier"] == "memory"
         assert compiler_invocations() == before + 1
-        assert collect_kernel(kernel2, 500, seed=9) == cold
+        assert _lists(collect_kernel(kernel2, 500, seed=9)) == cold
 
         # "Fresh process" (runtime reset) against the warm store: disk
         # tier, still no compiler work, identical stream.
@@ -255,16 +332,32 @@ class TestKernelCache:
         fresh_table = _compile(n_sided_die(6)).table
         kernel3, _, info3 = kernel_for(fresh_table)
         assert info3["tier"] == "disk"
-        assert info3["digest"] == info["digest"]
+        assert info3["key"] == info["key"]
         assert compiler_invocations() == before + 1
-        assert collect_kernel(kernel3, 500, seed=9) == cold
+        assert _lists(collect_kernel(kernel3, 500, seed=9)) == cold
+
+    def test_one_compile_serves_every_table(self, tmp_path, monkeypatch):
+        # Tables are data the walker reads: four programs, closed and
+        # open, cost one compiler run between them.
+        monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
+        reset_kernel_runtime()
+        before = compiler_invocations()
+        for command in (n_sided_die(6), n_sided_die(8),
+                        dueling_coins(Fraction(2, 3)),
+                        geometric_primes(Fraction(1, 2))):
+            kernel, reason, _ = kernel_for(_compile(command).table)
+            assert kernel is not None, reason
+            collect_kernel(kernel, 200, seed=2)
+        assert compiler_invocations() == before + 1
+        assert [name for name in os.listdir(str(tmp_path))
+                if name.endswith(".so")] == [kernel.info["key"]]
 
     def test_corrupted_cache_entry_recompiles(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZAR_NATIVE_CACHE_DIR", str(tmp_path))
         reset_kernel_runtime()
         table = _compile(n_sided_die(6)).table
         kernel, _, info = kernel_for(table)
-        want = collect_kernel(kernel, 300, seed=4)
+        want = _lists(collect_kernel(kernel, 300, seed=4))
 
         # Truncate/garble every cached object, then simulate a fresh
         # process.  A garbled entry must fail validation and be rebuilt
@@ -286,30 +379,38 @@ class TestKernelCache:
         assert info2["tier"] == "compiled"
         assert compiler_invocations() == before + 1
         assert kernel_store().stats()["corrupt"] == 1
-        assert collect_kernel(kernel2, 300, seed=4) == want
+        assert _lists(collect_kernel(kernel2, 300, seed=4)) == want
 
-    def test_stale_digest_entry_recompiles(self, tmp_path):
-        # A cached object whose embedded digest disagrees with its file
-        # name (e.g. a hand-edited store) must also be dropped.
-        table6 = _compile(n_sided_die(6)).table
-        table8 = _compile(n_sided_die(8)).table
-        enc6, enc8 = encode_table(table6), encode_table(table8)
-        d6, d8 = encoded_digest(enc6), encoded_digest(enc8)
-        assert d6 != d8
+    def test_stale_walker_entry_recompiles(self, tmp_path):
+        # A verified entry holding another walker version (e.g. copied
+        # from an older checkout under this key) passes the store's
+        # hash check; only the dlopen self-check can catch it.
         cache = str(tmp_path)
-        kernel6, info6 = build_kernel(enc6, cache_dir=cache)
-        # Masquerade die6's object under die8's key with a valid store
-        # header, so only the dlopen self-check can catch it.
+        source = tmp_path / "stale.c"
+        source.write_text(
+            "#include <stdint.h>\n"
+            "int32_t zar_walker_version(void) { return %d; }\n"
+            "int64_t zar_walk(void) { return 0; }\n" % (WALKER_VERSION + 1)
+        )
+        stale = str(tmp_path / "stale.so")
+        subprocess.run([find_compiler(), "-shared", "-fPIC", "-o", stale,
+                        str(source)], check=True)
+        reset_kernel_runtime()
+        _, info = load_walker(cache_dir=cache)
         store = kernel_store(cache)
-        so6 = [p for p in os.listdir(cache) if p.endswith(".so")][0]
-        assert store.put(so6.replace(d6, d8), store.get(so6))
+        with open(stale, "rb") as handle:
+            assert store.put(info["key"], handle.read())
         reset_kernel_runtime()
         before = compiler_invocations()
-        kernel8, info8 = build_kernel(enc8, cache_dir=cache)
-        assert info8["tier"] == "compiled"
+        walker, info2 = load_walker(cache_dir=cache)
+        assert info2["tier"] == "compiled"
         assert compiler_invocations() == before + 1
-        assert kernel8.digest == d8
         assert kernel_store(cache).stats()["corrupt"] == 1
+        table = _compile(n_sided_die(6)).table
+        bound, reason, _ = kernel_for(table, cache_dir=cache)
+        assert bound is not None, reason
+        assert _lists(collect_kernel(bound, 200, seed=3)) == collect_python(
+            _compile(n_sided_die(6)).table, 200, BitPool(3))
 
 
 # -- 4. degraded environments --------------------------------------------
@@ -409,8 +510,7 @@ class TestSeams:
 
     def test_telemetry_records_fallback(self, tmp_path):
         configure_telemetry(str(tmp_path))
-        collect_auto(geometric_primes(Fraction(1, 2)), 40, seed=3,
-                     profile=profile_named("native"))
+        collect_auto(_fig9b(), 40, seed=3, profile=profile_named("native"))
         [record] = read_records()
         assert record["fallback_reason"].startswith("native-unavailable:")
         assert record["kernel_cache"] is None
@@ -418,11 +518,17 @@ class TestSeams:
     def test_status_line_shapes(self):
         closed = _compile(n_sided_die(6)).table
         first = kernel_status(closed)
-        assert first.startswith(("compiled (", "cached ("))
-        assert "key " in first
-        assert kernel_status(closed).startswith("cached (memory")
+        assert first.startswith("ready (walker ")
+        assert first.endswith(" rows)")
+        assert kernel_status(closed).startswith("ready (walker memory, ")
         open_table = _compile(geometric_primes(Fraction(1, 2))).table
-        assert kernel_status(open_table).startswith("unavailable (open table")
+        line = kernel_status(open_table)
+        assert line.startswith("ready (walker memory, ")
+        assert line.endswith(
+            ", %d stubs pending)" % open_table.pending_stubs)
+        calls = _compile(_fig9b())
+        calls.collect(60, seed=7, backend="python")
+        assert kernel_status(calls.table).startswith("unavailable (call rows")
 
 
 # -- 6. the numpy lane-scheduling gap, pinned ----------------------------

@@ -59,7 +59,8 @@ def _driver_output(table, n, seed, backend, tied=True):
         return indices.tolist(), bits.tolist()
     bound, reason, _ = kernel_for(table)
     assert bound is not None, reason
-    return collect_kernel(bound, n, seed=seed, tied=tied)
+    indices, bits = collect_kernel(bound, n, seed=seed, tied=tied)
+    return indices.tolist(), bits.tolist()
 
 
 def _assembled(table, extract, indices, bits):
